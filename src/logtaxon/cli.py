@@ -61,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(OUT_DIR_ENV, "logtaxon_out"),
         help=f"artifact directory (default: ${OUT_DIR_ENV} or logtaxon_out)",
     )
-    analyze.add_argument("--threads", type=int, default=1)
+    analyze.add_argument(
+        "--threads", type=int, help="deprecated and ignored: analysis always runs on one thread"
+    )
     analyze.add_argument("--mask-rules", help="JSON file of token mask rules")
     analyze.add_argument("--miner-depth", type=int, default=4)
     analyze.add_argument("--miner-similarity", type=float, default=0.4)
@@ -186,6 +188,8 @@ def _write_contexts_csv(analysis: Analysis, path: Path) -> None:
 
 def _run_analyze(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.threads is not None:
+        print("note: --threads is deprecated and ignored", file=sys.stderr)
     fmt = _format_for(args)
     mask_rules = load_mask_rules(args.mask_rules) if args.mask_rules else DEFAULT_MASK_RULES
     miner = MinerConfig(
@@ -215,7 +219,6 @@ def _run_analyze(args: argparse.Namespace) -> int:
         miner_config=miner,
         bounds=bounds,
         sweep=sweep,
-        threads=args.threads,
         attribute_scope=args.attribute_scope,
         include_normal_scores=args.score_normal,
         source={
@@ -235,10 +238,16 @@ def _run_analyze(args: argparse.Namespace) -> int:
         (out_dir / "report.json").write_text(analysis.report.to_json(), encoding="utf-8")
         (out_dir / "report.csv").write_text(analysis.report.to_csv(), encoding="utf-8")
         save_forest(analysis.mining, analysis.corpus, str(out_dir / "templates.json"))
-        if args.dump_scores:
-            _write_scores_csv(analysis, out_dir / "scores.csv")
-        if args.dump_contexts:
-            _write_contexts_csv(analysis, out_dir / "contexts.csv")
+        # A reused directory may hold the optional dumps of an earlier run;
+        # remove the ones this run does not write so none is left stale.
+        for wanted, name, write in (
+            (args.dump_scores, "scores.csv", _write_scores_csv),
+            (args.dump_contexts, "contexts.csv", _write_contexts_csv),
+        ):
+            if wanted:
+                write(analysis, out_dir / name)
+            else:
+                (out_dir / name).unlink(missing_ok=True)
     except OSError:
         print(f"failed writing artifacts; left {marker}", file=sys.stderr)
         raise

@@ -7,7 +7,6 @@ corpus edges, so early and late messages simply have smaller neighborhoods.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,24 +38,14 @@ def build_context(
 
 
 def build_all_contexts(
-    assignment: Sequence[int], bounds: ContextBounds = ContextBounds(), threads: int = 1
+    assignment: Sequence[int], bounds: ContextBounds = ContextBounds()
 ) -> tuple[ContextSignature, ...]:
     """Signatures for every position, order-aligned with the assignment.
 
-    Signatures repeat heavily in real logs, so equal ones are collapsed to a
-    single shared frozenset instance before returning.
+    Signatures repeat heavily in real logs, so each one is collapsed onto a
+    single shared frozenset instance as soon as it is built; only the
+    distinct signatures stay in memory.
     """
-    n = len(assignment)
-    if threads <= 1 or n < 2:
-        raw = [build_context(assignment, i, bounds) for i in range(1, n + 1)]
-    else:
-        step = max(1, -(-n // (threads * 4)))
-        spans = [(lo, min(lo + step, n + 1)) for lo in range(1, n + 1, step)]
-
-        def span_contexts(span: tuple[int, int]) -> list[ContextSignature]:
-            return [build_context(assignment, i, bounds) for i in range(*span)]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = [sig for part in pool.map(span_contexts, spans) for sig in part]
     canon: dict[ContextSignature, ContextSignature] = {}
-    return tuple(canon.setdefault(sig, sig) for sig in raw)
+    built = (build_context(assignment, i, bounds) for i in range(1, len(assignment) + 1))
+    return tuple(canon.setdefault(sig, sig) for sig in built)

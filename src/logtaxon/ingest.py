@@ -89,11 +89,8 @@ def read_dataset(
                 if parts[format.label_field] == format.normal_token
                 else Label.ANOMALOUS
             )
-            meta = " ".join(
-                parts[i] for i in range(format.header_fields) if i != format.label_field
-            )
             content = parts[format.header_fields].rstrip("\n") if len(parts) > format.header_fields else ""
-            records.append(LogRecord(index=len(records) + 1, label=label, meta=meta, content=content))
+            records.append(LogRecord(index=len(records) + 1, label=label, content=content))
             if limit is not None and len(records) >= limit:
                 break
     corpus = split_corpus(records)  # raises "empty corpus" when records is empty
@@ -205,7 +202,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledCorpus, dict[int, An
     truth: dict[int, AnomalyKind] = {}
 
     def emit(label: Label, content: str, kind: AnomalyKind | None = None) -> None:
-        records.append(LogRecord(index=len(records) + 1, label=label, meta="", content=content))
+        records.append(LogRecord(index=len(records) + 1, label=label, content=content))
         if kind is not None:
             truth[len(records)] = kind
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 TokenSequence = tuple[str, ...]
@@ -27,20 +27,15 @@ class AnomalyKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class LogRecord:
-    """One log line: 1-based sequence position, label, header text, and content.
+    """One log line: 1-based sequence position, label, and content.
 
-    `tokens` is None until the templating stage fills it; records are otherwise
-    immutable and safe to share across threads.
+    `tokens` is None until the templating stage builds a tokenized copy.
     """
 
     index: int
     label: Label
-    meta: str
     content: str
     tokens: TokenSequence | None = None
-
-    def with_tokens(self, tokens: TokenSequence) -> LogRecord:
-        return replace(self, tokens=tokens)
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,20 +62,6 @@ class LabeledCorpus:
         return (r for r in self.records if r.label is Label.ANOMALOUS)
 
 
-@dataclass(frozen=True, slots=True)
-class Vocabulary:
-    """All distinct content tokens observed in a corpus."""
-
-    tokens: frozenset[str]
-
-    @property
-    def size(self) -> int:
-        return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.tokens
-
-
 def split_corpus(records: Iterable[LogRecord]) -> LabeledCorpus:
     """Build a LabeledCorpus, counting the two label classes.
 
@@ -100,13 +81,3 @@ def split_corpus(records: Iterable[LogRecord]) -> LabeledCorpus:
         if rec.label is Label.ANOMALOUS:
             anomalous += 1
     return LabeledCorpus(items, normal_count=len(items) - anomalous, anomalous_count=anomalous)
-
-
-def build_vocabulary(corpus: LabeledCorpus) -> Vocabulary:
-    """Collect the distinct tokens of a tokenized corpus."""
-    seen: set[str] = set()
-    for rec in corpus:
-        if rec.tokens is None:
-            raise ValueError(f"record {rec.index} is not tokenized")
-        seen.update(rec.tokens)
-    return Vocabulary(frozenset(seen))

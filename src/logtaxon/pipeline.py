@@ -31,7 +31,6 @@ def analyze_corpus(
     miner_config: MinerConfig | None = None,
     bounds: ContextBounds | None = None,
     sweep: ThresholdSweep | None = None,
-    threads: int = 1,
     attribute_scope: AttributeScope = "global",
     include_normal_scores: bool = False,
     source: Mapping[str, object] | None = None,
@@ -39,18 +38,16 @@ def analyze_corpus(
     """Run the full pipeline over a raw (untokenized) corpus.
 
     The report's config block echoes the analysis parameters so a run can be
-    reproduced from its own output. Thread count is deliberately not part of
-    it: results are identical at any thread count, and the echo only holds
-    what shapes them.
+    reproduced from its own output.
     """
     miner_config = miner_config or MinerConfig()
     bounds = bounds or ContextBounds()
     sweep = sweep or ThresholdSweep()
 
     tokenized = tokenize_corpus(corpus, miner_config.mask_rules)
-    mining = mine_templates(tokenized, miner_config, threads=threads)
-    attribute_sets = attributes_for_corpus(tokenized, mining, threads=threads)
-    signatures = build_all_contexts(mining.assignment, bounds, threads=threads)
+    mining = mine_templates(tokenized, miner_config)
+    attribute_sets = attributes_for_corpus(tokenized, mining)
+    signatures = build_all_contexts(mining.assignment, bounds)
     table = build_count_table(
         tokenized, mining.assignment, attribute_sets, signatures, attribute_scope
     )

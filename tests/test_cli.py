@@ -108,11 +108,33 @@ def test_repeat_runs_are_byte_identical(tmp_path, demo_log):
         assert (first / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_thread_count_does_not_change_artifacts(tmp_path, demo_log):
+def test_thread_count_does_not_change_artifacts(tmp_path, demo_log, capsys):
     _, first = run_analyze(tmp_path, demo_log)
+    assert "--threads" not in capsys.readouterr().err
     out2 = tmp_path / "threaded"
-    main(["analyze", "--input", str(demo_log), "--out-dir", str(out2), "--threads", "4"])
-    assert (first / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    rc = main(["analyze", "--input", str(demo_log), "--out-dir", str(out2), "--threads", "4"])
+    assert rc == 0
+    assert "--threads is deprecated and ignored" in capsys.readouterr().err
+    for name in ["report.json", "report.csv", "templates.json"]:
+        assert (first / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_rerun_removes_stale_optional_dumps(tmp_path, demo_log):
+    _, out_dir = run_analyze(tmp_path, demo_log, "--dump-scores", "--dump-contexts")
+    assert (out_dir / "scores.csv").exists() and (out_dir / "contexts.csv").exists()
+    (out_dir / "notes.txt").write_text("kept")
+    rc, _ = run_analyze(tmp_path, demo_log, "--dump-contexts")
+    assert rc == 0
+    assert not (out_dir / "scores.csv").exists()
+    assert (out_dir / "contexts.csv").exists()
+    rc, _ = run_analyze(tmp_path, demo_log)
+    assert rc == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "notes.txt",
+        "report.csv",
+        "report.json",
+        "templates.json",
+    ]
 
 
 def test_custom_thresholds(tmp_path, demo_log):

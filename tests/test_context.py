@@ -78,11 +78,3 @@ def test_equal_signatures_share_one_instance():
         if sig in seen:
             assert sig is seen[sig]
         seen[sig] = sig
-
-
-def test_threads_do_not_change_signatures():
-    assignment = [i % 5 + 1 for i in range(500)]
-    bounds = ContextBounds(before=7, after=3)
-    assert build_all_contexts(assignment, bounds, threads=1) == build_all_contexts(
-        assignment, bounds, threads=4
-    )

@@ -39,7 +39,7 @@ def test_bgl_preset_splits_label_and_content(tmp_path):
     first, second = corpus.records
     assert first.label is Label.NORMAL
     assert first.content == "instruction cache parity error corrected"
-    assert "RAS KERNEL INFO" in first.meta
+    assert "RAS KERNEL INFO" not in first.content
     assert second.label is Label.ANOMALOUS
     assert second.content == "data TLB error interrupt"
 

@@ -5,13 +5,12 @@ from logtaxon.model import (
     LabeledCorpus,
     Label,
     LogRecord,
-    build_vocabulary,
     split_corpus,
 )
 
 
 def rec(i, label, content):
-    return LogRecord(index=i, label=label, meta="", content=content)
+    return LogRecord(index=i, label=label, content=content)
 
 
 def test_split_corpus_counts_labels():
@@ -60,37 +59,10 @@ def test_anomalous_records_iterates_in_order():
     assert [r.index for r in corpus.anomalous_records()] == [1, 3]
 
 
-def test_with_tokens_returns_new_record():
-    r = rec(1, Label.NORMAL, "a b")
-    r2 = r.with_tokens(("a", "b"))
-    assert r.tokens is None
-    assert r2.tokens == ("a", "b")
-    assert r2.index == r.index and r2.label is r.label
-
-
 def test_records_are_immutable():
     r = rec(1, Label.NORMAL, "a")
     with pytest.raises(AttributeError):
         r.content = "b"
-
-
-def test_vocabulary_collects_distinct_tokens():
-    corpus = split_corpus(
-        [
-            rec(1, Label.NORMAL, "").with_tokens(("a", "b", "a")),
-            rec(2, Label.NORMAL, "").with_tokens(("b", "c")),
-        ]
-    )
-    vocab = build_vocabulary(corpus)
-    assert vocab.size == 3
-    assert "a" in vocab and "c" in vocab
-    assert "d" not in vocab
-
-
-def test_vocabulary_requires_tokenized_corpus():
-    corpus = split_corpus([rec(1, Label.NORMAL, "a")])
-    with pytest.raises(ValueError, match="not tokenized"):
-        build_vocabulary(corpus)
 
 
 def test_anomaly_kind_values_are_stable():

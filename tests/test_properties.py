@@ -11,7 +11,7 @@ from logtaxon.model import Label, LogRecord, split_corpus
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_template
-from logtaxon.templating import mine_templates, tokenize, tokenize_corpus
+from logtaxon.templating import MinerConfig, mine_templates, tokenize, tokenize_corpus
 
 WORDS = ["alpha", "beta", "gamma", "fetch", "send", "17", "409", "0xbeef", "node7x", "10.0.0.9"]
 
@@ -24,11 +24,16 @@ triples = st.tuples(fractions, st.none() | fractions, fractions).map(
     lambda t: ScoreTriple(*t)
 )
 thresholds = st.integers(1, 100).map(lambda n: Fraction(n, 100))
+# Few distinct tokens, one of them digit-bearing (routed to the wildcard
+# child), and enough lines that deep trees grow literal and wildcard
+# branches side by side.
+tree_contents = st.lists(st.sampled_from(["a", "b", "x1"]), min_size=2, max_size=4).map(" ".join)
+tree_lines = st.lists(st.tuples(st.booleans(), tree_contents), min_size=20, max_size=60)
 
 
 def corpus_from(lines):
     records = [
-        LogRecord(i, Label.ANOMALOUS if anom else Label.NORMAL, "", text)
+        LogRecord(i, Label.ANOMALOUS if anom else Label.NORMAL, text)
         for i, (anom, text) in enumerate(lines, start=1)
     ]
     return tokenize_corpus(split_corpus(records))
@@ -55,6 +60,15 @@ def test_mining_assigns_every_record_a_valid_template(lines):
     assert len(mining.assignment) == len(corpus)
     ids = {t.id for t in mining.templates}
     assert set(mining.assignment) <= ids
+    for rec, tid in zip(corpus.records, mining.assignment):
+        assert len(mining.template(tid).tokens) == len(rec.tokens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree_lines, st.integers(2, 6), st.integers(2, 5))
+def test_mining_never_raises_at_any_tree_shape(lines, depth, max_children):
+    corpus = corpus_from(lines)
+    mining = mine_templates(corpus, MinerConfig(tree_depth=depth, max_children=max_children))
     for rec, tid in zip(corpus.records, mining.assignment):
         assert len(mining.template(tid).tokens) == len(rec.tokens)
 
@@ -127,13 +141,3 @@ def test_scores_always_in_unit_interval(lines):
         assert 0 <= s.template_score <= 1
         assert s.attribute_score is None or 0 <= s.attribute_score <= 1
         assert 0 <= s.context_score <= 1
-
-
-@settings(max_examples=20, deadline=None)
-@given(labeled_lines)
-def test_thread_count_never_changes_results(lines):
-    corpus = corpus_from(lines)
-    one = analyze_corpus(corpus, threads=1)
-    many = analyze_corpus(corpus, threads=3)
-    assert one.scores == many.scores
-    assert one.report.to_json() == many.report.to_json()

@@ -117,9 +117,9 @@ def test_classify_is_monotone_in_threshold():
 
 def test_dataset_statistics_counts_shared_templates():
     records = [
-        LogRecord(1, Label.NORMAL, "", "task ok alpha"),
-        LogRecord(2, Label.ANOMALOUS, "", "task ok beta"),
-        LogRecord(3, Label.ANOMALOUS, "", "panic panic panic now"),
+        LogRecord(1, Label.NORMAL, "task ok alpha"),
+        LogRecord(2, Label.ANOMALOUS, "task ok beta"),
+        LogRecord(3, Label.ANOMALOUS, "panic panic panic now"),
     ]
     corpus = tokenize_corpus(split_corpus(records))
     mining = mine_templates(corpus)

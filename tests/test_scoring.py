@@ -17,7 +17,7 @@ from logtaxon.scoring import (
 def labeled(*labels):
     """Corpus whose records only carry labels ('A'/'N'); content is irrelevant."""
     return split_corpus(
-        LogRecord(i, Label.ANOMALOUS if ch == "A" else Label.NORMAL, "", "", tokens=())
+        LogRecord(i, Label.ANOMALOUS if ch == "A" else Label.NORMAL, "", tokens=())
         for i, ch in enumerate(labels, start=1)
     )
 

@@ -24,7 +24,7 @@ def corpus_of(*lines):
     records = []
     for i, line in enumerate(lines, start=1):
         label = Label.ANOMALOUS if line.startswith("!") else Label.NORMAL
-        records.append(LogRecord(i, label, "", line.lstrip("!")))
+        records.append(LogRecord(i, label, line.lstrip("!")))
     return tokenize_corpus(split_corpus(records))
 
 
@@ -143,8 +143,8 @@ def test_digit_bearing_first_token_routes_to_wildcard_child():
     # the numeric ones were masked to <:NUM:> anyway; use raw rule-free config
     config = MinerConfig(mask_rules=())
     records = [
-        LogRecord(1, Label.NORMAL, "", "w412x done ok fine"),
-        LogRecord(2, Label.NORMAL, "", "w413x done ok fine"),
+        LogRecord(1, Label.NORMAL, "w412x done ok fine"),
+        LogRecord(2, Label.NORMAL, "w413x done ok fine"),
     ]
     tokenized = tokenize_corpus(split_corpus(records), ())
     mining = mine_templates(tokenized, config)
@@ -183,6 +183,9 @@ def test_template_ids_are_dense_and_one_based():
     corpus = corpus_of("a b", "c d", "e f g")
     mining = mine_templates(corpus)
     assert [t.id for t in mining.templates] == list(range(1, len(mining.templates) + 1))
+    for missing in (0, len(mining.templates) + 1):
+        with pytest.raises(KeyError):
+            mining.template(missing)
 
 
 def test_deeper_tree_routes_on_more_tokens():
@@ -193,16 +196,20 @@ def test_deeper_tree_routes_on_more_tokens():
     assert len(mine_templates(corpus, MinerConfig(tree_depth=5)).templates) == 2
 
 
+def test_assignment_backtracks_from_a_literal_dead_end():
+    # Line 2 is learned under the wildcard child that line 1's digit-bearing
+    # token created; line 3 then adds a literal 'b' child holding only an 'a'
+    # branch. Pass 2 must leave that dead end and reach line 2's template.
+    corpus = corpus_of("x1 b b", "b b b", "!b a b")
+    mining = mine_templates(corpus, MinerConfig(tree_depth=5))
+    assert [t.text for t in mining.templates] == ["* b b", "b a b"]
+    assert mining.assignment == (1, 1, 2)
+
+
 def test_mining_requires_tokens():
-    corpus = split_corpus([LogRecord(1, Label.NORMAL, "", "raw")])
+    corpus = split_corpus([LogRecord(1, Label.NORMAL, "raw")])
     with pytest.raises(ValueError, match="not tokenized"):
         mine_templates(corpus)
-
-
-def test_threads_do_not_change_assignment():
-    lines = [f"user u{i % 7} did thing {i % 13} times" for i in range(300)]
-    corpus = corpus_of(*lines)
-    assert mine_templates(corpus, threads=1) == mine_templates(corpus, threads=4)
 
 
 def test_extract_attributes_checks_length():
