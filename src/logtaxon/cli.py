@@ -237,7 +237,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
     try:
         (out_dir / "report.json").write_text(analysis.report.to_json(), encoding="utf-8")
         (out_dir / "report.csv").write_text(analysis.report.to_csv(), encoding="utf-8")
-        save_forest(analysis.mining, analysis.corpus, str(out_dir / "templates.json"))
+        forest_path = str(out_dir / "templates.json")
+        save_forest(analysis.mining, analysis.table.template_counts, forest_path)
         # A reused directory may hold the optional dumps of an earlier run;
         # remove the ones this run does not write so none is left stale.
         for wanted, name, write in (

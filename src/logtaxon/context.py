@@ -25,27 +25,19 @@ class ContextBounds:
             raise ValueError("context bounds must be non-negative")
 
 
-def build_context(
-    assignment: Sequence[int], index: int, bounds: ContextBounds = ContextBounds()
-) -> ContextSignature:
-    """Signature of the record at 1-based `index` over a template assignment."""
-    n = len(assignment)
-    if not 1 <= index <= n:
-        raise ValueError(f"index {index} out of range 1..{n}")
-    lo = max(1, index - bounds.before)
-    hi = min(n, index + bounds.after)
-    return frozenset(assignment[i - 1] for i in range(lo, hi + 1) if i != index)
-
-
 def build_all_contexts(
     assignment: Sequence[int], bounds: ContextBounds = ContextBounds()
 ) -> tuple[ContextSignature, ...]:
-    """Signatures for every position, order-aligned with the assignment.
+    """Signature of every position, order-aligned with the assignment.
 
     Signatures repeat heavily in real logs, so each one is collapsed onto a
     single shared frozenset instance as soon as it is built; only the
     distinct signatures stay in memory.
     """
     canon: dict[ContextSignature, ContextSignature] = {}
-    built = (build_context(assignment, i, bounds) for i in range(1, len(assignment) + 1))
-    return tuple(canon.setdefault(sig, sig) for sig in built)
+    before, after = bounds.before, bounds.after
+    signatures = []
+    for i in range(len(assignment)):
+        sig = frozenset((*assignment[max(0, i - before) : i], *assignment[i + 1 : i + 1 + after]))
+        signatures.append(canon.setdefault(sig, sig))
+    return tuple(signatures)

@@ -10,7 +10,6 @@ gzip-compressed; that is sniffed from the magic bytes, not the name.
 from __future__ import annotations
 
 import gzip
-import io
 import random
 from dataclasses import dataclass, field
 from typing import IO, Mapping
@@ -55,12 +54,11 @@ class IngestSummary:
 
 
 def _open_text(path: str) -> IO[str]:
-    raw = open(path, "rb")
-    magic = raw.read(2)
-    raw.seek(0)
+    with open(path, "rb") as raw:
+        magic = raw.read(2)
     if magic == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8", errors="replace")
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
+        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
+    return open(path, encoding="utf-8", errors="replace")
 
 
 def read_dataset(

@@ -59,7 +59,7 @@ def analyze_corpus(
         signatures,
         include_normal=include_normal_scores,
     )
-    stats = dataset_statistics(tokenized, mining)
+    stats = dataset_statistics(table)
     config = {
         "minerDepth": miner_config.tree_depth,
         "minerSimilarity": miner_config.similarity_threshold,

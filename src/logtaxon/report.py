@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .model import AnomalyKind, LabeledCorpus, Label
-from .scoring import ScoreTriple
-from .templating import MiningResult
+from .model import AnomalyKind
+from .scoring import CountTable, ScoreTriple
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -97,17 +96,15 @@ class DatasetStats:
     intersection_templates: int
 
 
-def dataset_statistics(corpus: LabeledCorpus, mining: MiningResult) -> DatasetStats:
-    normal_ids = set()
-    anomalous_ids = set()
-    for rec, tid in zip(corpus.records, mining.assignment):
-        (anomalous_ids if rec.label is Label.ANOMALOUS else normal_ids).add(tid)
+def dataset_statistics(table: CountTable) -> DatasetStats:
+    """Message and template counts by label, read off the table's template tally."""
+    pairs = table.template_counts.values()
     return DatasetStats(
-        normal_messages=corpus.normal_count,
-        anomalous_messages=corpus.anomalous_count,
-        normal_templates=len(normal_ids),
-        anomalous_templates=len(anomalous_ids),
-        intersection_templates=len(normal_ids & anomalous_ids),
+        normal_messages=sum(n for _, n in pairs),
+        anomalous_messages=sum(a for a, _ in pairs),
+        normal_templates=sum(1 for _, n in pairs if n),
+        anomalous_templates=sum(1 for a, _ in pairs if a),
+        intersection_templates=sum(1 for a, n in pairs if a and n),
     )
 
 
@@ -119,10 +116,6 @@ class ThresholdRow:
     counts: Mapping[AnomalyKind, int]
     classified: int
     unclassified: int
-
-    @property
-    def total(self) -> int:
-        return self.classified + self.unclassified
 
 
 def _percent(part: int, whole: int) -> float:

@@ -104,44 +104,6 @@ def _fraction(pair: CountPair) -> Fraction:
     return Fraction(a, a + n)
 
 
-def score_template(table: CountTable, template_id: int) -> Fraction:
-    """Anomalous share of the template's occurrences."""
-    try:
-        pair = table.template_counts[template_id]
-    except KeyError:
-        raise KeyError(f"template {template_id} has no occurrence counts") from None
-    return _fraction(pair)
-
-
-def score_attribute(
-    table: CountTable, attributes: TokenSequence, template_id: int | None = None
-) -> Fraction | None:
-    """Max anomalous share over the message's attribute tokens; None if it has none.
-
-    template_id is required (and used) only under per-position scope.
-    """
-    if not attributes:
-        return None
-    if table.attribute_scope == "per-position" and template_id is None:
-        raise ValueError("per-position attribute scoring needs the template id")
-    best: Fraction | None = None
-    for slot, token in enumerate(attributes):
-        key = table.attribute_key(template_id or 0, slot, token)
-        score = _fraction(table.attribute_counts[key])
-        if best is None or score > best:
-            best = score
-    return best
-
-
-def score_context(table: CountTable, signature: ContextSignature) -> Fraction:
-    """Anomalous share of the messages sharing this exact signature."""
-    try:
-        pair = table.context_counts[signature]
-    except KeyError:
-        raise KeyError(f"signature {sorted(signature)} has no occurrence counts") from None
-    return _fraction(pair)
-
-
 def score_corpus(
     corpus: LabeledCorpus,
     table: CountTable,
@@ -152,9 +114,13 @@ def score_corpus(
 ) -> dict[int, ScoreTriple]:
     """Score triple per 1-based record index, anomalous records only by default.
 
-    Inputs repeat heavily (few templates, few signatures, recurring attribute
-    sets), so each distinct key is scored once and reused.
+    Each score is the anomalous share of its key's occurrences in the table;
+    the attribute score is the maximum over the message's attribute tokens,
+    or None when it has none. Inputs repeat heavily (few templates, few
+    signatures, recurring attribute sets), so each distinct key is scored
+    once and reused.
     """
+    per_position = table.attribute_scope == "per-position"
     tpl_cache: dict[int, Fraction] = {}
     ctx_cache: dict[ContextSignature, Fraction] = {}
     attr_cache: dict[object, Fraction | None] = {}
@@ -164,14 +130,20 @@ def score_corpus(
             continue
         t_score = tpl_cache.get(tid)
         if t_score is None:
-            t_score = tpl_cache[tid] = score_template(table, tid)
-        attr_key = (tid, attrs) if table.attribute_scope == "per-position" else attrs
+            t_score = tpl_cache[tid] = _fraction(table.template_counts[tid])
+        attr_key = (tid, attrs) if per_position else attrs
         if attr_key in attr_cache:
             a_score = attr_cache[attr_key]
         else:
-            a_score = attr_cache[attr_key] = score_attribute(table, attrs, tid)
+            a_score = attr_cache[attr_key] = max(
+                (
+                    _fraction(table.attribute_counts[table.attribute_key(tid, slot, token)])
+                    for slot, token in enumerate(attrs)
+                ),
+                default=None,
+            )
         c_score = ctx_cache.get(sig)
         if c_score is None:
-            c_score = ctx_cache[sig] = score_context(table, sig)
+            c_score = ctx_cache[sig] = _fraction(table.context_counts[sig])
         scores[rec.index] = ScoreTriple(t_score, a_score, c_score)
     return scores

@@ -15,13 +15,17 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from sys import intern
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .model import LabeledCorpus, Label, LogRecord, TokenSequence, split_corpus
+from .model import LabeledCorpus, LogRecord, TokenSequence, split_corpus
 
 WILDCARD = "*"
 
 _HAS_DIGIT = re.compile(r"\d")
+
+
+# Inline global flags such as (?i), which must stay at the very start of a pattern.
+_LEADING_FLAGS = re.compile(r"(?:\(\?[aiLmsux]+\))*")
 
 
 @dataclass(frozen=True)
@@ -40,20 +44,19 @@ class MaskRule:
 
     @cached_property
     def regex(self) -> re.Pattern[str]:
-        return re.compile(self.pattern)
-
-    @cached_property
-    def _expands(self) -> bool:
-        # A replacement without backreferences is returned as-is; m.expand()
-        # re-parses the template on every call and dominates masking time.
-        return "\\" in self.replacement
+        """`pattern` anchored at both ends, so it matches and rewrites whole tokens only."""
+        # Compiled alone first: "a)|(b" is invalid, yet would compile once wrapped.
+        verbose = re.compile(self.pattern).flags & re.VERBOSE
+        flags = _LEADING_FLAGS.match(self.pattern).group()
+        body = self.pattern[len(flags) :] + ("\n" if verbose else "")  # ends a trailing comment
+        return re.compile(rf"{flags}\A(?:{body})\Z")
 
     def apply(self, token: str) -> str | None:
         """Rewritten token if the rule matches, else None."""
-        m = self.regex.fullmatch(token)
-        if m is None:
-            return None
-        return m.expand(self.replacement) if self._expands else self.replacement
+        # `subn` parses the replacement template once and caches it, where
+        # `Match.expand` would parse it again for every token.
+        masked, matched = self.regex.subn(self.replacement, token)
+        return masked if matched else None
 
 
 # Ordered by priority: dotted quads first, then plain decimals, so that the
@@ -72,16 +75,29 @@ DEFAULT_MASK_RULES: tuple[MaskRule, ...] = (
 def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
     """Read mask rules from a JSON file: a list of {name, pattern, replacement?}.
 
-    A missing replacement defaults to "<:NAME:>".
+    A missing replacement defaults to "<:NAME:>". Every pattern and
+    replacement is compiled here, so a bad entry fails before any input is
+    read, with a ValueError naming the file and the entry.
     """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"mask rule file {path!r}: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError(f"mask rule file {path!r} must contain a JSON list")
     rules = []
-    for entry in raw:
+    for number, entry in enumerate(raw, start=1):
+        where = f"mask rule file {path!r}, entry {number}"
+        if not isinstance(entry, dict) or not {"name", "pattern"} <= entry.keys():
+            raise ValueError(f"{where}: needs a 'name' and a 'pattern'")
         name = entry["name"]
-        rules.append(MaskRule(name, entry["pattern"], entry.get("replacement", f"<:{name}:>")))
+        rule = MaskRule(name, entry["pattern"], entry.get("replacement", f"<:{name}:>"))
+        try:
+            rule.regex.sub(rule.replacement, "")  # compiles the replacement as well
+        except (re.error, IndexError, TypeError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        rules.append(rule)
     return tuple(rules)
 
 
@@ -167,10 +183,6 @@ class Template:
     @property
     def wildcard_positions(self) -> tuple[int, ...]:
         return tuple(i for i, tok in enumerate(self.tokens) if tok == WILDCARD)
-
-    @property
-    def num_wildcards(self) -> int:
-        return len(self.wildcard_positions)
 
 
 class _Cluster:
@@ -353,9 +365,6 @@ class MiningResult:
         """Template id of the record at 1-based corpus index."""
         return self.assignment[index - 1]
 
-    def template_of(self, index: int) -> Template:
-        return self.template(self.template_id(index))
-
 
 def mine_templates(corpus: LabeledCorpus, config: MinerConfig | None = None) -> MiningResult:
     """Mine templates over a tokenized corpus and assign one id per record.
@@ -378,46 +387,45 @@ def mine_templates(corpus: LabeledCorpus, config: MinerConfig | None = None) -> 
     return MiningResult(templates, assignment)
 
 
-def extract_attributes(record: LogRecord, template: Template) -> TokenSequence:
-    """Tokens at the template's wildcard positions, in position order."""
-    if record.tokens is None:
-        raise ValueError(f"record {record.index} is not tokenized")
-    if len(record.tokens) != len(template.tokens):
-        raise RuntimeError(
-            f"record {record.index} has {len(record.tokens)} tokens but template "
-            f"{template.id} has {len(template.tokens)}; the miner must keep lengths equal"
-        )
-    return tuple(record.tokens[i] for i in template.wildcard_positions)
-
-
 def attributes_for_corpus(corpus: LabeledCorpus, mining: MiningResult) -> tuple[TokenSequence, ...]:
-    """Attribute sets for every record, aligned with corpus order."""
-    return tuple(
-        extract_attributes(rec, mining.template(tid))
-        for rec, tid in zip(corpus.records, mining.assignment)
-    )
+    """Each record's tokens at its template's wildcard positions, aligned with corpus order."""
+    shapes = {t.id: (len(t.tokens), t.wildcard_positions) for t in mining.templates}
+    attribute_sets = []
+    for rec, tid in zip(corpus.records, mining.assignment):
+        tokens = rec.tokens
+        if tokens is None:
+            raise ValueError(f"record {rec.index} is not tokenized")
+        length, wildcards = shapes[tid]
+        if len(tokens) != length:
+            raise RuntimeError(
+                f"record {rec.index} has {len(tokens)} tokens but template {tid} has "
+                f"{length}; the miner must keep lengths equal"
+            )
+        attribute_sets.append(tuple(map(tokens.__getitem__, wildcards)))
+    return tuple(attribute_sets)
 
 
 FOREST_SCHEMA_VERSION = 1
 
 
-def save_forest(mining: MiningResult, corpus: LabeledCorpus, path: str) -> None:
-    """Write the frozen forest as JSON with per-label member counts."""
-    counts = {t.id: [0, 0] for t in mining.templates}
-    for rec, tid in zip(corpus.records, mining.assignment):
-        counts[tid][0 if rec.label is Label.ANOMALOUS else 1] += 1
-    doc = {
-        "schemaVersion": FOREST_SCHEMA_VERSION,
-        "templates": [
+def save_forest(mining: MiningResult, counts: Mapping[int, tuple[int, int]], path: str) -> None:
+    """Write the frozen forest as JSON with its {id: (anomalous, normal)} member counts.
+
+    `counts` is the count table's template tally; a template no record was
+    assigned to in pass 2 has no entry and is written with zero members.
+    """
+    entries = []
+    for t in mining.templates:
+        anomalous, normal = counts.get(t.id, (0, 0))
+        entries.append(
             {
                 "id": t.id,
                 "tokens": list(t.tokens),
-                "anomalousCount": counts[t.id][0],
-                "normalCount": counts[t.id][1],
+                "anomalousCount": anomalous,
+                "normalCount": normal,
             }
-            for t in mining.templates
-        ],
-    }
+        )
+    doc = {"schemaVersion": FOREST_SCHEMA_VERSION, "templates": entries}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,9 +1,11 @@
-"""Brute-force reference scorer used to cross-check the pipeline.
+"""Brute-force references used to cross-check the pipeline.
 
 Everything here is recomputed from first principles with plain loops and
-Counters: wildcard positions by scanning template tokens, context sets by
-walking the raw window indices, counts by full scans. Deliberately shares no
-code with logtaxon.scoring/logtaxon.context so an error there cannot hide.
+Counters: templates by a direct transcription of the two-pass miner,
+wildcard positions by scanning template tokens, context sets by walking the
+raw window indices, counts by full scans. Deliberately shares no code with
+logtaxon.templating, logtaxon.scoring or logtaxon.context, so an error there
+cannot hide.
 """
 
 from __future__ import annotations
@@ -14,9 +16,126 @@ from fractions import Fraction
 from logtaxon.model import LabeledCorpus, Label
 
 
+def naive_mine(token_lists, depth=4, similarity=0.4, max_children=100):
+    """Reference two-pass miner; returns (template token tuples in id order, assignment).
+
+    The routing tree: a node per sequence length, then one level per leading
+    token for the first min(depth - 3, length - 1) tokens, then a list of
+    clusters at the leaf. Paths are tuples (length, key, key, ...), where a
+    key is a literal token or the wildcard '*'.
+
+    Pass 1, message by message: descend greedily (the literal child, else
+    '*'); among the leaf's clusters take the one with the most literal
+    matches, then the most wildcards, the first on ties; merge into it when
+    matches / length reaches `similarity`, turning every differing position
+    into '*'. Otherwise create a cluster, descending by the insertion rule:
+    an existing child; '*' for a token with a digit (or '*' itself); a new
+    literal child while the node has room for it next to '*'; else '*'.
+
+    Pass 2 re-assigns every message against the final templates: descend
+    depth-first, literal child before '*', to the first leaf reached, and
+    take its best cluster by the same ranking with no threshold. Messages of
+    no tokens all share one cluster.
+    """
+    levels = max(0, depth - 3)
+    templates = []  # cluster id - 1 -> token list
+    nodes = set()
+    children = {}  # node path -> child keys in creation order
+    leaves = {}  # leaf path -> cluster ids in creation order
+
+    def routing(tokens):
+        return tuple(tokens[: min(levels, len(tokens) - 1)]) if tokens else ()
+
+    def literal_matches(cid, tokens):
+        return sum(1 for t, w in zip(templates[cid - 1], tokens) if t != "*" and t == w)
+
+    def best(ids, tokens):
+        def rank(cid):
+            return (literal_matches(cid, tokens), templates[cid - 1].count("*"))
+
+        top = ids[0]
+        for cid in ids[1:]:
+            if rank(cid) > rank(top):
+                top = cid
+        return top
+
+    def greedy_leaf(tokens):
+        path = (len(tokens),)
+        if path not in nodes:
+            return None
+        for token in routing(tokens):
+            keys = children.get(path, [])
+            if token in keys:
+                path += (token,)
+            elif "*" in keys:
+                path += ("*",)
+            else:
+                return None
+        return path
+
+    def insertion_leaf(tokens):
+        path = (len(tokens),)
+        nodes.add(path)
+        for token in routing(tokens):
+            keys = children.setdefault(path, [])
+            if token in keys:
+                key = token
+            elif token == "*" or any(ch.isdecimal() for ch in token):
+                key = "*"
+            elif "*" in keys:
+                key = token if len(keys) < max_children else "*"
+            else:
+                key = token if len(keys) + 1 < max_children else "*"
+            if key not in keys:
+                keys.append(key)
+            path += (key,)
+            nodes.add(path)
+        return path
+
+    def create(tokens, path):
+        templates.append(list(tokens))
+        leaves.setdefault(path, []).append(len(templates))
+
+    for tokens in token_lists:
+        if not tokens:
+            if not leaves.get((0,)):
+                nodes.add((0,))
+                create(tokens, (0,))
+            continue
+        ids = leaves.get(greedy_leaf(tokens), [])
+        if ids:
+            cid = best(ids, tokens)
+            if literal_matches(cid, tokens) / len(tokens) >= similarity:
+                tpl = templates[cid - 1]
+                templates[cid - 1] = [t if t == w else "*" for t, w in zip(tpl, tokens)]
+                continue
+        create(tokens, insertion_leaf(tokens))
+
+    def first_leaf(path, keys):
+        if not keys:
+            return path
+        for key in (keys[0], "*"):
+            if key in children.get(path, []):
+                found = first_leaf(path + (key,), keys[1:])
+                if found is not None:
+                    return found
+        return None
+
+    assignment = []
+    for tokens in token_lists:
+        root = (len(tokens),)
+        leaf = first_leaf(root, routing(tokens)) if root in nodes else None
+        if leaf is None:
+            raise RuntimeError(f"no leaf for {tokens!r}")
+        ids = leaves[leaf]
+        assignment.append(ids[0] if not tokens else best(ids, tokens))
+    return [tuple(t) for t in templates], tuple(assignment)
+
+
 def naive_attributes(tokens, template_tokens):
     """Tokens under the template's '*' positions, by direct scan."""
-    assert len(tokens) == len(template_tokens)
+    if len(tokens) != len(template_tokens):
+        raise ValueError(f"{len(tokens)} tokens against a {len(template_tokens)}-token template")
     out = []
     for pos in range(len(template_tokens)):
         if template_tokens[pos] == "*":
@@ -46,8 +165,8 @@ def brute_force_scores(
     """Recount everything and return {index: (template, attribute|None, context)}.
 
     Scores are exact Fractions. `templates` and `assignment` come from the
-    miner (the mining itself is checked elsewhere, by determinism and by
-    hand-built cases); the three scores are recomputed independently.
+    miner (checked on its own against naive_mine); the three scores are
+    recomputed independently.
     """
     template_tokens = {t.id: t.tokens for t in templates}
     n = len(corpus)

@@ -14,12 +14,12 @@ from pathlib import Path
 import pytest
 
 from oracle import brute_force_scores
-from logtaxon.context import ContextBounds, build_context
+from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.ingest import PRESETS, AttributePool, SyntheticSpec, generate_synthetic, read_dataset
 from logtaxon.model import AnomalyKind, Label, LogRecord, split_corpus
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import DEFAULT_THRESHOLDS, classify
-from logtaxon.templating import mine_templates, tokenize_corpus
+from logtaxon.templating import attributes_for_corpus, mine_templates, tokenize_corpus
 
 MASTER_SEED = 20250816
 
@@ -129,15 +129,13 @@ def test_criterion_2_hand_worked_examples():
         len(mining.templates) == 1
         and mining.templates[0].text == "Start * service at node *"
     )
-    from logtaxon.templating import extract_attributes
-
-    attrs = [extract_attributes(corpus.record(i), mining.template_of(i)) for i in (1, 2)]
+    attrs = list(attributes_for_corpus(corpus, mining))
     attrs_ok = attrs == [("mail", "wally001"), ("printer", "wally005")]
 
     # A ten-message window example: two back, one forward around message 10
     # picks up exactly the templates of messages 8, 9, and 11.
     assignment = [70, 71, 72, 73, 74, 75, 76, 3, 4, 9, 5, 77]
-    sig = build_context(assignment, 10, ContextBounds(before=2, after=1))
+    sig = build_all_contexts(assignment, ContextBounds(before=2, after=1))[10 - 1]
     context_ok = sig == frozenset({3, 4, 5})
 
     verdict(

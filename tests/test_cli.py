@@ -187,6 +187,33 @@ def test_bad_thresholds_fail_cleanly(tmp_path, demo_log, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"name": "X", "pattern": "("}, "missing ), unterminated subpattern"),
+        ({"pattern": "x+"}, "needs a 'name' and a 'pattern'"),
+    ],
+    ids=["bad-pattern", "missing-name"],
+)
+def test_bad_mask_rules_fail_cleanly(tmp_path, demo_log, capsys, entry, message):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"name": "OK", "pattern": "y+"}, entry]))
+    rc, out_dir = run_analyze(tmp_path, demo_log, "--mask-rules", str(rules))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: mask rule file {str(rules)!r}, entry 2: {message}" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_unparsable_mask_rules_name_the_file(tmp_path, demo_log, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text('[{"name": "X",')
+    rc, _ = run_analyze(tmp_path, demo_log, "--mask-rules", str(rules))
+    assert rc == 1
+    assert f"error: mask rule file {str(rules)!r}: " in capsys.readouterr().err
+
+
 def test_synth_truth_file(tmp_path):
     out = tmp_path / "s.log"
     truth_path = tmp_path / "truth.json"

@@ -1,4 +1,6 @@
+import gc
 import gzip
+import warnings
 
 import pytest
 
@@ -68,6 +70,17 @@ def test_gzip_input_detected_by_magic_bytes(tmp_path):
     corpus, summary = read_dataset(str(path))
     assert summary.records == 2
     assert corpus.record(2).label is Label.ANOMALOUS
+
+
+def test_gzip_input_leaves_no_file_open(tmp_path):
+    path = tmp_path / "t.log.gz"
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        fh.write("- hello world\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        read_dataset(str(path))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_malformed_lines_are_skipped_and_counted(tmp_path):

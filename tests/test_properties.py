@@ -1,17 +1,27 @@
 """Randomized invariants over the whole pipeline."""
 
+import os
+import tempfile
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_force_scores
-from logtaxon.context import ContextBounds, build_all_contexts, build_context
+from oracle import brute_force_scores, naive_mine
+from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.model import Label, LogRecord, split_corpus
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import ThresholdSweep, classify, sweep_report
-from logtaxon.scoring import CountTable, ScoreTriple, score_template
-from logtaxon.templating import MinerConfig, mine_templates, tokenize, tokenize_corpus
+from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
+from logtaxon.templating import (
+    MinerConfig,
+    TemplateMatcher,
+    load_forest,
+    mine_templates,
+    save_forest,
+    tokenize,
+    tokenize_corpus,
+)
 
 WORDS = ["alpha", "beta", "gamma", "fetch", "send", "17", "409", "0xbeef", "node7x", "10.0.0.9"]
 
@@ -29,6 +39,17 @@ thresholds = st.integers(1, 100).map(lambda n: Fraction(n, 100))
 # branches side by side.
 tree_contents = st.lists(st.sampled_from(["a", "b", "x1"]), min_size=2, max_size=4).map(" ".join)
 tree_lines = st.lists(st.tuples(st.booleans(), tree_contents), min_size=20, max_size=60)
+# Token sequences fed to the miner as they are: literal, digit-bearing and
+# wildcard-looking tokens, lengths 0-5, so every tree level and every
+# insertion branch is reachable.
+miner_inputs = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "x1", "7", "*"]), max_size=5).map(tuple),
+    min_size=1,
+    max_size=60,
+)
+tree_shapes = st.tuples(
+    st.integers(2, 6), st.sampled_from([0.2, 0.4, 0.5, 0.75, 1.0]), st.integers(2, 5)
+).map(lambda t: MinerConfig(tree_depth=t[0], similarity_threshold=t[1], max_children=t[2]))
 
 
 def corpus_from(lines):
@@ -73,6 +94,36 @@ def test_mining_never_raises_at_any_tree_shape(lines, depth, max_children):
         assert len(mining.template(tid).tokens) == len(rec.tokens)
 
 
+def pre_tokenized(token_lists):
+    return split_corpus(
+        LogRecord(i, Label.NORMAL, " ".join(tokens), tokens)
+        for i, tokens in enumerate(token_lists, start=1)
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(miner_inputs, tree_shapes)
+def test_mining_matches_the_naive_reference_miner(token_lists, config):
+    mining = mine_templates(pre_tokenized(token_lists), config)
+    templates, assignment = naive_mine(
+        token_lists, config.tree_depth, config.similarity_threshold, config.max_children
+    )
+    assert [t.tokens for t in mining.templates] == templates
+    assert mining.assignment == assignment
+
+
+@settings(max_examples=200, deadline=None)
+@given(miner_inputs, tree_shapes)
+def test_saved_forest_reproduces_the_assignment(token_lists, config):
+    mining = mine_templates(pre_tokenized(token_lists), config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "templates.json")
+        save_forest(mining, {}, path)
+        templates, _ = load_forest(path)
+    matcher = TemplateMatcher(templates, config)
+    assert tuple(matcher.assign(tokens) for tokens in token_lists) == mining.assignment
+
+
 @given(
     st.lists(st.integers(1, 5), min_size=1, max_size=40),
     st.integers(0, 6),
@@ -90,15 +141,15 @@ def test_context_window_subset_and_exclusion(assignment, before, after):
             if j != i
         ]
         assert sig == frozenset(window)
-        assert sig == build_context(assignment, i, bounds)
 
 
 @given(st.integers(0, 50), st.integers(0, 50))
 def test_template_score_is_exact_fraction(anomalous, normal):
     if anomalous + normal == 0:
         return
-    table = CountTable({1: (anomalous, normal)}, {}, {})
-    score = score_template(table, 1)
+    table = CountTable({1: (anomalous, normal)}, {}, {frozenset(): (1, 0)})
+    one = split_corpus([LogRecord(1, Label.ANOMALOUS, "", ())])
+    score = score_corpus(one, table, [1], ((),), (frozenset(),))[1].template_score
     assert score == Fraction(anomalous, anomalous + normal)
     assert 0 <= score <= 1
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from logtaxon.model import AnomalyKind, Label, LogRecord, split_corpus
+from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import (
     DEFAULT_THRESHOLDS,
     DatasetStats,
@@ -13,7 +14,6 @@ from logtaxon.report import (
     sweep_report,
 )
 from logtaxon.scoring import ScoreTriple
-from logtaxon.templating import mine_templates, tokenize_corpus
 
 
 def triple(t, a, c):
@@ -121,9 +121,7 @@ def test_dataset_statistics_counts_shared_templates():
         LogRecord(2, Label.ANOMALOUS, "task ok beta"),
         LogRecord(3, Label.ANOMALOUS, "panic panic panic now"),
     ]
-    corpus = tokenize_corpus(split_corpus(records))
-    mining = mine_templates(corpus)
-    stats = dataset_statistics(corpus, mining)
+    stats = dataset_statistics(analyze_corpus(split_corpus(records)).table)
     assert stats.normal_messages == 1
     assert stats.anomalous_messages == 2
     assert stats.normal_templates == 1

@@ -4,14 +4,9 @@ import pytest
 
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.model import Label, LogRecord, split_corpus
-from logtaxon.scoring import (
-    CountTable,
-    build_count_table,
-    score_attribute,
-    score_context,
-    score_corpus,
-    score_template,
-)
+from logtaxon.scoring import CountTable, build_count_table, score_corpus
+
+NO_CONTEXT = frozenset()
 
 
 def labeled(*labels):
@@ -28,81 +23,89 @@ def table_for(corpus, assignment, attribute_sets=None, bounds=ContextBounds(2, 1
     return build_count_table(corpus, assignment, attribute_sets, signatures, scope), signatures
 
 
+def score_one(table, template_id=1, attributes=(), signature=NO_CONTEXT):
+    """Score triple of a single anomalous message with these keys, through score_corpus."""
+    return score_corpus(labeled("A"), table, [template_id], (attributes,), (signature,))[1]
+
+
+def scores_for(corpus, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
+    """Counts and scores every record of a corpus, normal ones included."""
+    attribute_sets = attribute_sets or ((),) * len(corpus)
+    table, sigs = table_for(corpus, assignment, attribute_sets, bounds, scope)
+    scores = score_corpus(corpus, table, assignment, attribute_sets, sigs, include_normal=True)
+    return table, sigs, scores
+
+
 # --- template score ----------------------------------------------------------
 
 
 def test_template_score_all_anomalous_is_exactly_one():
-    table = CountTable({7: (5, 0)}, {}, {})
-    assert score_template(table, 7) == Fraction(1)
+    table = CountTable({7: (5, 0)}, {}, {NO_CONTEXT: (5, 0)})
+    assert score_one(table, template_id=7).template_score == Fraction(1)
 
 
 def test_template_score_mixed():
-    table = CountTable({1: (3, 1)}, {}, {})
-    assert score_template(table, 1) == Fraction(3, 4)
+    table = CountTable({1: (3, 1)}, {}, {NO_CONTEXT: (3, 1)})
+    assert score_one(table, template_id=1).template_score == Fraction(3, 4)
 
 
 def test_template_score_counts_from_corpus():
     corpus = labeled("A", "A", "N")
-    table, _ = table_for(corpus, [4, 4, 4])
+    table, _, scores = scores_for(corpus, [4, 4, 4])
     assert table.template_counts[4] == (2, 1)
-    assert score_template(table, 4) == Fraction(2, 3)
+    assert scores[1].template_score == Fraction(2, 3)
 
 
 def test_template_score_unknown_id():
-    table = CountTable({}, {}, {})
+    table = CountTable({}, {}, {NO_CONTEXT: (1, 0)})
     with pytest.raises(KeyError):
-        score_template(table, 1)
+        score_one(table, template_id=1)
 
 
 # --- attribute score ---------------------------------------------------------
 
 
 def test_attribute_score_is_max_over_tokens():
-    table = CountTable({}, {"a": (3, 7), "b": (9, 1)}, {})
-    assert score_attribute(table, ("a", "b")) == Fraction(9, 10)
+    table = CountTable({1: (1, 0)}, {"a": (3, 7), "b": (9, 1)}, {NO_CONTEXT: (1, 0)})
+    assert score_one(table, attributes=("a", "b")).attribute_score == Fraction(9, 10)
 
 
 def test_attribute_score_single_token():
-    table = CountTable({}, {"x": (2, 8)}, {})
-    assert score_attribute(table, ("x",)) == Fraction(1, 5)
+    table = CountTable({1: (1, 0)}, {"x": (2, 8)}, {NO_CONTEXT: (1, 0)})
+    assert score_one(table, attributes=("x",)).attribute_score == Fraction(1, 5)
 
 
 def test_attribute_score_absent_without_attributes():
-    table = CountTable({}, {}, {})
-    assert score_attribute(table, ()) is None
+    table = CountTable({1: (1, 0)}, {}, {NO_CONTEXT: (1, 0)})
+    assert score_one(table, attributes=()).attribute_score is None
 
 
 def test_attribute_counting_is_per_occurrence():
     # 'x' twice in one anomalous message and once in a normal one: 2/3, not 1/2.
     corpus = labeled("A", "N")
-    table, _ = table_for(corpus, [1, 1], attribute_sets=(("x", "x"), ("x", "y")))
+    table, _, scores = scores_for(corpus, [1, 1], attribute_sets=(("x", "x"), ("x", "y")))
     assert table.attribute_counts["x"] == (2, 1)
-    assert score_attribute(table, ("x", "x")) == Fraction(2, 3)
+    assert scores[1].attribute_score == Fraction(2, 3)
 
 
 def test_attribute_scope_global_pools_across_templates():
     corpus = labeled("A", "N", "N")
-    table, _ = table_for(corpus, [1, 1, 2], attribute_sets=(("x",), ("x",), ("x",)))
-    assert score_attribute(table, ("x",)) == Fraction(1, 3)
+    _, _, scores = scores_for(corpus, [1, 1, 2], attribute_sets=(("x",), ("x",), ("x",)))
+    assert scores[1].attribute_score == Fraction(1, 3)
+    assert scores[3].attribute_score == Fraction(1, 3)
 
 
 def test_attribute_scope_per_position_separates_slots():
     corpus = labeled("A", "N", "N")
-    table, _ = table_for(
+    table, _, scores = scores_for(
         corpus,
         [1, 1, 2],
         attribute_sets=(("x",), ("x",), ("x",)),
         scope="per-position",
     )
     assert table.attribute_counts[(1, 0, "x")] == (1, 1)
-    assert score_attribute(table, ("x",), template_id=1) == Fraction(1, 2)
-    assert score_attribute(table, ("x",), template_id=2) == Fraction(0)
-
-
-def test_per_position_scoring_requires_template_id():
-    table = CountTable({}, {(1, 0, "x"): (1, 1)}, {}, attribute_scope="per-position")
-    with pytest.raises(ValueError):
-        score_attribute(table, ("x",))
+    assert scores[1].attribute_score == Fraction(1, 2)  # template 1
+    assert scores[3].attribute_score == Fraction(0)  # template 2
 
 
 # --- context score -----------------------------------------------------------
@@ -110,14 +113,14 @@ def test_per_position_scoring_requires_template_id():
 
 def test_context_score_all_anomalous():
     sig = frozenset({1, 2})
-    table = CountTable({}, {}, {sig: (4, 0)})
-    assert score_context(table, sig) == Fraction(1)
+    table = CountTable({1: (4, 0)}, {}, {sig: (4, 0)})
+    assert score_one(table, signature=sig).context_score == Fraction(1)
 
 
 def test_context_score_mixed():
     sig = frozenset({3})
-    table = CountTable({}, {}, {sig: (1, 3)})
-    assert score_context(table, sig) == Fraction(1, 4)
+    table = CountTable({1: (1, 3)}, {}, {sig: (1, 3)})
+    assert score_one(table, signature=sig).context_score == Fraction(1, 4)
 
 
 def test_inserted_message_gets_unique_context():
@@ -125,7 +128,7 @@ def test_inserted_message_gets_unique_context():
     # position 5 and is the only record seeing {1,2,3} around itself.
     assignment = [1, 2, 3, 1, 4, 2, 3, 1, 2, 3]
     corpus = labeled("N", "N", "N", "N", "A", "N", "N", "N", "N", "N")
-    table, sigs = table_for(corpus, assignment, bounds=ContextBounds(before=2, after=1))
+    table, sigs, scores = scores_for(corpus, assignment, bounds=ContextBounds(before=2, after=1))
     expected = [
         {2},
         {1, 3},
@@ -139,16 +142,16 @@ def test_inserted_message_gets_unique_context():
         {1, 2},
     ]
     assert [set(s) for s in sigs] == expected
-    assert score_context(table, sigs[4]) == Fraction(1)
+    assert scores[5].context_score == Fraction(1)
     # The repeated rhythm signatures stay fully normal.
-    assert score_context(table, sigs[2]) == Fraction(0)
+    assert scores[3].context_score == Fraction(0)
     assert table.context_counts[frozenset({1, 2})] == (0, 2)
 
 
 def test_context_score_unknown_signature():
-    table = CountTable({}, {}, {})
+    table = CountTable({1: (1, 0)}, {}, {})
     with pytest.raises(KeyError):
-        score_context(table, frozenset({1}))
+        score_one(table, signature=frozenset({1}))
 
 
 # --- whole-corpus scoring ------------------------------------------------------

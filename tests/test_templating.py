@@ -2,14 +2,17 @@ import json
 
 import pytest
 
+from oracle import naive_mine
+from logtaxon.context import build_all_contexts
 from logtaxon.model import Label, LogRecord, split_corpus
+from logtaxon.scoring import build_count_table
 from logtaxon.templating import (
     DEFAULT_MASK_RULES,
     MaskRule,
     MinerConfig,
+    MiningResult,
     TemplateMatcher,
     attributes_for_corpus,
-    extract_attributes,
     load_forest,
     load_mask_rules,
     mine_templates,
@@ -70,6 +73,23 @@ def test_first_matching_rule_wins():
 
 def test_mask_rule_must_match_whole_token():
     assert tokenize("error42x") == ("error42x",)
+
+
+def test_mask_rule_with_inline_flag_matches_whole_tokens():
+    rules = (MaskRule("ERR", r"(?i)err(?:or)?", "<:ERR:>"),)
+    assert tokenize("ERROR Err error42 an_error", rules) == (
+        "<:ERR:>",
+        "<:ERR:>",
+        "error42",
+        "an_error",
+    )
+    verbose = (MaskRule("ERR", "(?xi) err (?:or)?  # the word or its stem", "<:ERR:>"),)
+    assert tokenize("Error errors", verbose) == ("<:ERR:>", "errors")
+
+
+def test_mask_rule_keeps_named_group_in_replacement():
+    rules = (MaskRule("KV", r"(?P<key>[a-z]+)=\d+|\d+", r"\g<key><:V:>"),)
+    assert tokenize("retries=3 7 x=y", rules) == ("retries<:V:>", "<:V:>", "x=y")
 
 
 def test_load_mask_rules_round_trip(tmp_path):
@@ -179,6 +199,29 @@ def test_max_children_overflow_still_assigns_everything():
     assert all(1 <= t <= len(mining.templates) for t in mining.assignment)
 
 
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        # No wildcard child yet: two literal children, then the third head overflows.
+        (["a q q q", "b q q q", "c q q q", "d q q q"], ["a q q q", "b q q q", "* q q q"]),
+        # A wildcard child first: it counts, so again only two literal children fit,
+        # and the last line reaches the first line's cluster through it.
+        (
+            ["x1 q q q", "a r r r", "b r r r", "c s s s", "c q q q"],
+            ["* q q q", "a r r r", "b r r r", "c s s s"],
+        ),
+    ],
+    ids=["literal-children-only", "wildcard-child-first"],
+)
+def test_max_children_overflow_matches_the_reference_miner(lines, expected):
+    corpus = corpus_of(*lines)
+    mining = mine_templates(corpus, MinerConfig(similarity_threshold=0.75, max_children=3))
+    assert [t.text for t in mining.templates] == expected
+    templates, assignment = naive_mine([rec.tokens for rec in corpus], 4, 0.75, 3)
+    assert [t.tokens for t in mining.templates] == templates
+    assert mining.assignment == assignment
+
+
 def test_template_ids_are_dense_and_one_based():
     corpus = corpus_of("a b", "c d", "e f g")
     mining = mine_templates(corpus)
@@ -206,6 +249,20 @@ def test_assignment_backtracks_from_a_literal_dead_end():
     assert mining.assignment == (1, 1, 2)
 
 
+def test_backtracking_tries_the_literal_branch_first():
+    # Line 2 is learned under the root's wildcard child before line 3 makes
+    # the literal 'b' branch and line 4 its 'c' child. In pass 2 line 2
+    # dead-ends at b/c, and the search takes b/* (line 3's leaf) before the
+    # root's wildcard child, where line 2 was learned.
+    corpus = corpus_of("x1 c d z", "b c d z", "b x2 d y", "b c e z")
+    mining = mine_templates(corpus, MinerConfig(tree_depth=6))
+    assert [t.text for t in mining.templates] == ["* c d z", "b x2 d y", "b c e z"]
+    assert mining.assignment == (1, 2, 2, 3)
+    templates, assignment = naive_mine([rec.tokens for rec in corpus], depth=6)
+    assert [t.tokens for t in mining.templates] == templates
+    assert mining.assignment == assignment
+
+
 def test_mining_requires_tokens():
     corpus = split_corpus([LogRecord(1, Label.NORMAL, "raw")])
     with pytest.raises(ValueError, match="not tokenized"):
@@ -215,8 +272,10 @@ def test_mining_requires_tokens():
 def test_extract_attributes_checks_length():
     corpus = corpus_of("a b c", "a b")
     mining = mine_templates(corpus)
+    # Record 2 put on record 1's three-token template.
+    misassigned = MiningResult(mining.templates, (mining.assignment[0],) * 2)
     with pytest.raises(RuntimeError):
-        extract_attributes(corpus.record(2), mining.template_of(1))
+        attributes_for_corpus(corpus, misassigned)
 
 
 def test_miner_config_validation():
@@ -241,12 +300,31 @@ def test_forest_round_trip(tmp_path):
     )
     mining = mine_templates(corpus)
     path = tmp_path / "forest.json"
-    save_forest(mining, corpus, str(path))
+    table = build_count_table(
+        corpus,
+        mining.assignment,
+        attributes_for_corpus(corpus, mining),
+        build_all_contexts(mining.assignment),
+    )
+    save_forest(mining, table.template_counts, str(path))
     templates, counts = load_forest(str(path))
     assert templates == mining.templates
     by_text = {t.text: counts[t.id] for t in templates}
     assert by_text["Start * service at node *"] == (1, 1)  # (anomalous, normal)
     assert by_text["shutdown complete"] == (0, 1)
+
+
+def test_forest_keeps_a_template_without_members(tmp_path):
+    # Pass 2 moves both members of "b * c *" to templates created after it.
+    corpus = corpus_of("b a c c", "b b c a", "a b c a", "b a b c")
+    mining = mine_templates(corpus, MinerConfig(tree_depth=3, similarity_threshold=0.5))
+    assert [t.text for t in mining.templates] == ["b * c *", "a b c a", "b a b c"]
+    assert mining.assignment == (3, 2, 2, 3)
+    path = tmp_path / "forest.json"
+    save_forest(mining, {2: (0, 2), 3: (0, 2)}, str(path))
+    templates, counts = load_forest(str(path))
+    assert templates == mining.templates
+    assert counts == {1: (0, 0), 2: (0, 2), 3: (0, 2)}
 
 
 def test_matcher_reapplies_saved_templates(tmp_path):
