@@ -11,14 +11,7 @@ from .ingest import (
     read_dataset,
     write_dataset,
 )
-from .model import (
-    AnomalyKind,
-    LabeledCorpus,
-    Label,
-    LogRecord,
-    TokenSequence,
-    split_corpus,
-)
+from .model import AnomalyKind, Label, LogRecord, TokenSequence
 from .pipeline import Analysis, analyze_corpus
 from .report import (
     DEFAULT_THRESHOLDS,
@@ -67,7 +60,6 @@ __all__ = [
     "DatasetStats",
     "IngestSummary",
     "Label",
-    "LabeledCorpus",
     "LogRecord",
     "MaskRule",
     "MinerConfig",
@@ -94,7 +86,6 @@ __all__ = [
     "read_dataset",
     "save_forest",
     "score_corpus",
-    "split_corpus",
     "sweep_report",
     "tokenize",
     "tokenize_corpus",

@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args
 
 from .context import ContextBounds
 from .ingest import (
@@ -21,11 +22,18 @@ from .ingest import (
     read_dataset,
     write_dataset,
 )
+from .model import Label
 from .pipeline import Analysis, analyze_corpus
-from .report import ThresholdSweep
+from .report import DEFAULT_THRESHOLDS, ThresholdSweep
+from .scoring import AttributeScope
 from .templating import DEFAULT_MASK_RULES, MinerConfig, load_mask_rules, save_forest
 
 OUT_DIR_ENV = "LOGTAXON_OUT_DIR"
+
+# Flag defaults come from the library's own, so each lives in one place.
+_BOUNDS = ContextBounds()
+_MINER = MinerConfig()
+_THRESHOLDS = ",".join(str(float(t)) for t in DEFAULT_THRESHOLDS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,12 +57,12 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--label-field", type=int, help="override which header field is the label")
     analyze.add_argument("--normal-token", help="override the normal-label marker (default '-')")
     analyze.add_argument("--limit", type=int, help="parse at most this many records")
-    analyze.add_argument("--context-before", type=int, default=10, metavar="N")
-    analyze.add_argument("--context-after", type=int, default=0, metavar="N")
+    analyze.add_argument("--context-before", type=int, default=_BOUNDS.before, metavar="N")
+    analyze.add_argument("--context-after", type=int, default=_BOUNDS.after, metavar="N")
     analyze.add_argument(
         "--thresholds",
-        default="0.6,0.7,0.8,0.9,1.0",
-        help="comma-separated sweep, each in (0,1] (default: 0.6,0.7,0.8,0.9,1.0)",
+        default=_THRESHOLDS,
+        help=f"comma-separated sweep, each in (0,1] (default: {_THRESHOLDS})",
     )
     analyze.add_argument(
         "--out-dir",
@@ -65,12 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, help="deprecated and ignored: analysis always runs on one thread"
     )
     analyze.add_argument("--mask-rules", help="JSON file of token mask rules")
-    analyze.add_argument("--miner-depth", type=int, default=4)
-    analyze.add_argument("--miner-similarity", type=float, default=0.4)
-    analyze.add_argument("--miner-max-children", type=int, default=100)
+    analyze.add_argument("--miner-depth", type=int, default=_MINER.tree_depth)
+    analyze.add_argument("--miner-similarity", type=float, default=_MINER.similarity_threshold)
+    analyze.add_argument("--miner-max-children", type=int, default=_MINER.max_children)
     analyze.add_argument(
         "--attribute-scope",
-        choices=["global", "per-position"],
+        choices=get_args(AttributeScope),
         default="global",
         help="pool attribute tokens corpus-wide or per template slot",
     )
@@ -129,7 +137,7 @@ def _run_synth(args: argparse.Namespace) -> int:
             json.dump({str(i): kind.value for i, kind in sorted(truth.items())}, fh, indent=2)
             fh.write("\n")
     print(
-        f"wrote {len(corpus)} records ({corpus.anomalous_count} anomalous) to {args.out}",
+        f"wrote {len(corpus)} records ({len(truth)} anomalous) to {args.out}",
         file=sys.stderr,
     )
     return 0
@@ -208,9 +216,9 @@ def _run_analyze(args: argparse.Namespace) -> int:
             f"skipped {summary.malformed_skipped} malformed of {summary.lines_read} lines",
             file=sys.stderr,
         )
+    anomalous = sum(rec.label is Label.ANOMALOUS for rec in corpus)
     print(
-        f"parsed {summary.records} records "
-        f"({corpus.anomalous_count} anomalous); mining templates ...",
+        f"parsed {len(corpus)} records ({anomalous} anomalous); mining templates ...",
         file=sys.stderr,
     )
 
@@ -225,7 +233,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             "input": os.path.basename(args.input),
             "preset": args.preset,
             "limit": args.limit,
-            "records": summary.records,
+            "records": len(corpus),
             "malformedSkipped": summary.malformed_skipped,
         },
     )
@@ -256,8 +264,12 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
     print(analysis.report.to_text(), end="")
     elapsed = time.monotonic() - started
+    # Pass 2 can leave a pass-1 template with no line. templates.json keeps it,
+    # so a saved forest rebuilds the same tree; the report counts only the rest.
+    mined = len(analysis.mining.templates)
+    unmatched = mined - len(analysis.table.template_counts)
     print(
-        f"mined {len(analysis.mining.templates)} templates; "
+        f"mined {mined} templates ({unmatched} matching no line); "
         f"artifacts in {out_dir} ({elapsed:.1f}s)",
         file=sys.stderr,
     )

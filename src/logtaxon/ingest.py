@@ -12,9 +12,9 @@ from __future__ import annotations
 import gzip
 import random
 from dataclasses import dataclass, field
-from typing import IO, Mapping
+from typing import IO, Iterable, Mapping
 
-from .model import AnomalyKind, LabeledCorpus, Label, LogRecord, split_corpus
+from .model import AnomalyKind, Label, LogRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +49,6 @@ PRESETS: dict[str, DatasetFormat] = {
 @dataclass(frozen=True, slots=True)
 class IngestSummary:
     lines_read: int
-    records: int
     malformed_skipped: int
 
 
@@ -65,13 +64,16 @@ def read_dataset(
     path: str,
     format: DatasetFormat = PRESETS["generic"],
     limit: int | None = None,
-) -> tuple[LabeledCorpus, IngestSummary]:
+) -> tuple[tuple[LogRecord, ...], IngestSummary]:
     """Parse a dataset file into a corpus, skipping (and counting) malformed lines.
 
     A line is malformed when it has fewer fields than the header needs. Blank
     lines count as malformed too. `limit` caps the number of parsed records,
-    not raw lines. Raises ValueError("empty corpus") when nothing parses.
+    not raw lines, and must be at least 1. Raises ValueError("empty corpus")
+    when nothing parses.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     records: list[LogRecord] = []
     lines_read = 0
     malformed = 0
@@ -88,14 +90,15 @@ def read_dataset(
                 else Label.ANOMALOUS
             )
             content = parts[format.header_fields].rstrip("\n") if len(parts) > format.header_fields else ""
-            records.append(LogRecord(index=len(records) + 1, label=label, content=content))
+            records.append(LogRecord(label, content))
             if limit is not None and len(records) >= limit:
                 break
-    corpus = split_corpus(records)  # raises "empty corpus" when records is empty
-    return corpus, IngestSummary(lines_read, len(records), malformed)
+    if not records:
+        raise ValueError("empty corpus")
+    return tuple(records), IngestSummary(lines_read, malformed)
 
 
-def write_dataset(corpus: LabeledCorpus, path: str, anomalous_token: str = "ANOM") -> None:
+def write_dataset(corpus: Iterable[LogRecord], path: str, anomalous_token: str = "ANOM") -> None:
     """Write a corpus in the generic one-header-field layout (round-trips with read_dataset)."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "wt", encoding="utf-8") as fh:
@@ -177,7 +180,7 @@ def _fill(template: str, pools: Mapping[str, AttributePool], rng: random.Random,
     return " ".join(out)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledCorpus, dict[int, AnomalyKind]]:
+def generate_synthetic(spec: SyntheticSpec) -> tuple[tuple[LogRecord, ...], dict[int, AnomalyKind]]:
     """Generate a labeled corpus with known injected anomaly kinds.
 
     Returns the corpus and {1-based index: injected kind} ground truth.
@@ -200,7 +203,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledCorpus, dict[int, An
     truth: dict[int, AnomalyKind] = {}
 
     def emit(label: Label, content: str, kind: AnomalyKind | None = None) -> None:
-        records.append(LogRecord(index=len(records) + 1, label=label, content=content))
+        records.append(LogRecord(label, content))
         if kind is not None:
             truth[len(records)] = kind
 
@@ -224,4 +227,4 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[LabeledCorpus, dict[int, An
             if len(records) >= spec.length:
                 break
         emit(Label.NORMAL, _fill(scheduled, spec.pools, rng, False))
-    return split_corpus(records), truth
+    return tuple(records), truth

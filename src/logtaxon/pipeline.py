@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .context import ContextBounds, ContextSignature, build_all_contexts
-from .model import LabeledCorpus, TokenSequence
+from .model import Label, LogRecord, TokenSequence
 from .report import TaxonomyReport, ThresholdSweep, dataset_statistics, sweep_report
 from .scoring import AttributeScope, CountTable, ScoreTriple, build_count_table, score_corpus
 from .templating import MinerConfig, MiningResult, attributes_for_corpus, mine_templates, tokenize_corpus
@@ -16,7 +16,7 @@ from .templating import MinerConfig, MiningResult, attributes_for_corpus, mine_t
 class Analysis:
     """Everything one pipeline run produced, from tokens to the final report."""
 
-    corpus: LabeledCorpus
+    corpus: tuple[LogRecord, ...]
     mining: MiningResult
     attribute_sets: tuple[TokenSequence, ...]
     signatures: tuple[ContextSignature, ...]
@@ -26,7 +26,7 @@ class Analysis:
 
 
 def analyze_corpus(
-    corpus: LabeledCorpus,
+    corpus: Sequence[LogRecord],
     *,
     miner_config: MinerConfig | None = None,
     bounds: ContextBounds | None = None,
@@ -38,8 +38,11 @@ def analyze_corpus(
     """Run the full pipeline over a raw (untokenized) corpus.
 
     The report's config block echoes the analysis parameters so a run can be
-    reproduced from its own output.
+    reproduced from its own output. Raises ValueError("empty corpus") when
+    the corpus holds no record.
     """
+    if not corpus:
+        raise ValueError("empty corpus")
     miner_config = miner_config or MinerConfig()
     bounds = bounds or ContextBounds()
     sweep = sweep or ThresholdSweep()
@@ -71,7 +74,7 @@ def analyze_corpus(
         "thresholds": [str(t) for t in sweep.thresholds],
     }
     report = sweep_report(
-        {i: s for i, s in scores.items() if tokenized.record(i).label.value == "anomalous"}
+        {i: s for i, s in scores.items() if tokenized[i - 1].label is Label.ANOMALOUS}
         if include_normal_scores
         else scores,
         sweep,

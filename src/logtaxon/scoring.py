@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
 from .context import ContextSignature
-from .model import LabeledCorpus, Label, TokenSequence
+from .model import Label, LogRecord, TokenSequence
 
 # (anomalous, normal) observation counts.
 CountPair = tuple[int, int]
@@ -68,7 +68,7 @@ def _bump(counts: dict, key: object, anomalous: bool) -> None:
 
 
 def build_count_table(
-    corpus: LabeledCorpus,
+    corpus: Sequence[LogRecord],
     assignment: Sequence[int],
     attribute_sets: Sequence[TokenSequence],
     signatures: Sequence[ContextSignature],
@@ -90,7 +90,7 @@ def build_count_table(
     attribute_counts: dict[object, CountPair] = {}
     context_counts: dict[ContextSignature, CountPair] = {}
     table = CountTable(template_counts, attribute_counts, context_counts, attribute_scope)
-    for rec, tid, attrs, sig in zip(corpus.records, assignment, attribute_sets, signatures):
+    for rec, tid, attrs, sig in zip(corpus, assignment, attribute_sets, signatures):
         anomalous = rec.label is Label.ANOMALOUS
         _bump(template_counts, tid, anomalous)
         _bump(context_counts, sig, anomalous)
@@ -105,14 +105,14 @@ def _fraction(pair: CountPair) -> Fraction:
 
 
 def score_corpus(
-    corpus: LabeledCorpus,
+    corpus: Sequence[LogRecord],
     table: CountTable,
     assignment: Sequence[int],
     attribute_sets: Sequence[TokenSequence],
     signatures: Sequence[ContextSignature],
     include_normal: bool = False,
 ) -> dict[int, ScoreTriple]:
-    """Score triple per 1-based record index, anomalous records only by default.
+    """Score triple per 1-based corpus position, anomalous records only by default.
 
     Each score is the anomalous share of its key's occurrences in the table;
     the attribute score is the maximum over the message's attribute tokens,
@@ -125,7 +125,8 @@ def score_corpus(
     ctx_cache: dict[ContextSignature, Fraction] = {}
     attr_cache: dict[object, Fraction | None] = {}
     scores: dict[int, ScoreTriple] = {}
-    for rec, tid, attrs, sig in zip(corpus.records, assignment, attribute_sets, signatures):
+    rows = zip(corpus, assignment, attribute_sets, signatures)
+    for index, (rec, tid, attrs, sig) in enumerate(rows, start=1):
         if not include_normal and rec.label is not Label.ANOMALOUS:
             continue
         t_score = tpl_cache.get(tid)
@@ -145,5 +146,5 @@ def score_corpus(
         c_score = ctx_cache.get(sig)
         if c_score is None:
             c_score = ctx_cache[sig] = _fraction(table.context_counts[sig])
-        scores[rec.index] = ScoreTriple(t_score, a_score, c_score)
+        scores[index] = ScoreTriple(t_score, a_score, c_score)
     return scores

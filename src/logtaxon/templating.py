@@ -17,7 +17,7 @@ from functools import cached_property
 from sys import intern
 from typing import Iterable, Mapping, Sequence
 
-from .model import LabeledCorpus, LogRecord, TokenSequence, split_corpus
+from .model import LogRecord, TokenSequence
 
 WILDCARD = "*"
 
@@ -116,8 +116,8 @@ def tokenize(content: str, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES) -> To
 
 
 def tokenize_corpus(
-    corpus: LabeledCorpus, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES
-) -> LabeledCorpus:
+    corpus: Sequence[LogRecord], rules: Sequence[MaskRule] = DEFAULT_MASK_RULES
+) -> tuple[LogRecord, ...]:
     """Return a copy of the corpus with every record's tokens filled in.
 
     Raw tokens repeat enormously across a log, so the masking outcome is
@@ -132,9 +132,8 @@ def tokenize_corpus(
             out = cache[token] = _mask(token, rules)
             return out
 
-    return split_corpus(
-        LogRecord(r.index, r.label, r.content, tuple(mask(t) for t in r.content.split()))
-        for r in corpus
+    return tuple(
+        LogRecord(r.label, r.content, tuple(mask(t) for t in r.content.split())) for r in corpus
     )
 
 
@@ -366,17 +365,15 @@ class MiningResult:
         return self.assignment[index - 1]
 
 
-def mine_templates(corpus: LabeledCorpus, config: MinerConfig | None = None) -> MiningResult:
+def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = None) -> MiningResult:
     """Mine templates over a tokenized corpus and assign one id per record.
 
     Deterministic for a fixed corpus order and config.
     """
     config = config or MinerConfig()
-    token_lists: list[TokenSequence] = []
-    for rec in corpus:
-        if rec.tokens is None:
-            raise ValueError(f"record {rec.index} is not tokenized")
-        token_lists.append(rec.tokens)
+    token_lists = [rec.tokens for rec in corpus]
+    if None in token_lists:
+        raise ValueError(f"record {token_lists.index(None) + 1} is not tokenized")
 
     forest = _Forest(config)
     for tokens in token_lists:  # order-dependent tree growth, keep sequential
@@ -387,18 +384,20 @@ def mine_templates(corpus: LabeledCorpus, config: MinerConfig | None = None) -> 
     return MiningResult(templates, assignment)
 
 
-def attributes_for_corpus(corpus: LabeledCorpus, mining: MiningResult) -> tuple[TokenSequence, ...]:
+def attributes_for_corpus(
+    corpus: Sequence[LogRecord], mining: MiningResult
+) -> tuple[TokenSequence, ...]:
     """Each record's tokens at its template's wildcard positions, aligned with corpus order."""
     shapes = {t.id: (len(t.tokens), t.wildcard_positions) for t in mining.templates}
     attribute_sets = []
-    for rec, tid in zip(corpus.records, mining.assignment):
+    for index, (rec, tid) in enumerate(zip(corpus, mining.assignment), start=1):
         tokens = rec.tokens
         if tokens is None:
-            raise ValueError(f"record {rec.index} is not tokenized")
+            raise ValueError(f"record {index} is not tokenized")
         length, wildcards = shapes[tid]
         if len(tokens) != length:
             raise RuntimeError(
-                f"record {rec.index} has {len(tokens)} tokens but template {tid} has "
+                f"record {index} has {len(tokens)} tokens but template {tid} has "
                 f"{length}; the miner must keep lengths equal"
             )
         attribute_sets.append(tuple(map(tokens.__getitem__, wildcards)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from logtaxon.model import LabeledCorpus, Label
+from logtaxon.model import Label, LogRecord
 
 
 def naive_mine(token_lists, depth=4, similarity=0.4, max_children=100):
@@ -154,7 +154,7 @@ def naive_signature(assignment, index, before, after):
 
 
 def brute_force_scores(
-    corpus: LabeledCorpus,
+    corpus: tuple[LogRecord, ...],
     templates,
     assignment,
     before: int = 10,
@@ -174,7 +174,7 @@ def brute_force_scores(
     attrs = []
     sigs = []
     for i in range(1, n + 1):
-        rec = corpus.record(i)
+        rec = corpus[i - 1]
         tid = assignment[i - 1]
         attrs.append(naive_attributes(rec.tokens, template_tokens[tid]))
         sigs.append(naive_signature(assignment, i, before, after))
@@ -186,7 +186,7 @@ def brute_force_scores(
     ctx_total: Counter = Counter()
     ctx_anom: Counter = Counter()
     for i in range(1, n + 1):
-        rec = corpus.record(i)
+        rec = corpus[i - 1]
         tid = assignment[i - 1]
         anomalous = rec.label is Label.ANOMALOUS
         tpl_total[tid] += 1
@@ -202,7 +202,7 @@ def brute_force_scores(
 
     result = {}
     for i in range(1, n + 1):
-        rec = corpus.record(i)
+        rec = corpus[i - 1]
         if not include_normal and rec.label is not Label.ANOMALOUS:
             continue
         tid = assignment[i - 1]

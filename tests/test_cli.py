@@ -175,6 +175,30 @@ def test_limit_flag(tmp_path, demo_log):
     )
 
 
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_limit_below_one_fails_cleanly(tmp_path, demo_log, capsys, limit):
+    rc, out_dir = run_analyze(tmp_path, demo_log, "--limit", limit)
+    assert rc == 1
+    assert f"error: limit must be at least 1, got {limit}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_mined_count_names_templates_matching_no_line(tmp_path, capsys):
+    # Pass 1 merges the first two lines into "b * c *"; in pass 2 each of them
+    # matches a later template better, so "b * c *" is mined but matches no line.
+    path = tmp_path / "four.log"
+    path.write_text("- b a c c\n- b b c a\n- a b c a\n- b a b c\n")
+    rc, out_dir = run_analyze(
+        tmp_path, path, "--miner-depth", "3", "--miner-similarity", "0.5"
+    )
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert "mined 3 templates (1 matching no line)" in err
+    assert "templates: 2 normal, 0 anomalous" in out
+    forest = json.loads((out_dir / "templates.json").read_text())
+    assert len(forest["templates"]) == 3
+
+
 def test_missing_input_fails_cleanly(tmp_path, capsys):
     rc = main(["analyze", "--input", str(tmp_path / "nope.log")])
     assert rc == 1

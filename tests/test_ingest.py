@@ -37,8 +37,8 @@ def test_bgl_preset_splits_label_and_content(tmp_path):
     path = tmp_path / "bgl.log"
     write_lines(path, [BGL_NORMAL, BGL_ALERT])
     corpus, summary = read_dataset(str(path), PRESETS["bgl"])
-    assert summary.records == 2 and summary.malformed_skipped == 0
-    first, second = corpus.records
+    assert len(corpus) == 2 and summary.malformed_skipped == 0
+    first, second = corpus
     assert first.label is Label.NORMAL
     assert first.content == "instruction cache parity error corrected"
     assert "RAS KERNEL INFO" not in first.content
@@ -50,26 +50,25 @@ def test_spirit_preset_keeps_component_in_content(tmp_path):
     path = tmp_path / "spirit.log"
     write_lines(path, [SPIRIT_ALERT])
     corpus, _ = read_dataset(str(path), PRESETS["spirit"])
-    assert corpus.record(1).label is Label.ANOMALOUS
-    assert corpus.record(1).content == "kernel: hda: drive not ready for command"
+    assert corpus[0].label is Label.ANOMALOUS
+    assert corpus[0].content == "kernel: hda: drive not ready for command"
 
 
 def test_generic_preset_one_header_field(tmp_path):
     path = tmp_path / "gen.log"
     write_lines(path, ["- all fine here", "FAIL something broke"])
     corpus, _ = read_dataset(str(path))
-    assert corpus.normal_count == 1
-    assert corpus.anomalous_count == 1
-    assert corpus.record(2).content == "something broke"
+    assert [rec.label for rec in corpus] == [Label.NORMAL, Label.ANOMALOUS]
+    assert corpus[1].content == "something broke"
 
 
 def test_gzip_input_detected_by_magic_bytes(tmp_path):
     path = tmp_path / "data.log"  # deliberately no .gz suffix
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write("- hello world\nX bad news\n")
-    corpus, summary = read_dataset(str(path))
-    assert summary.records == 2
-    assert corpus.record(2).label is Label.ANOMALOUS
+    corpus, _ = read_dataset(str(path))
+    assert len(corpus) == 2
+    assert corpus[1].label is Label.ANOMALOUS
 
 
 def test_gzip_input_leaves_no_file_open(tmp_path):
@@ -88,7 +87,6 @@ def test_malformed_lines_are_skipped_and_counted(tmp_path):
     write_lines(path, [BGL_NORMAL, "", "too short", BGL_ALERT])
     corpus, summary = read_dataset(str(path), PRESETS["bgl"])
     assert summary.lines_read == 4
-    assert summary.records == 2
     assert summary.malformed_skipped == 2
     assert len(corpus) == 2
 
@@ -98,15 +96,15 @@ def test_header_only_line_has_empty_content(tmp_path):
     write_lines(path, ["-"])
     corpus, summary = read_dataset(str(path))
     assert summary.malformed_skipped == 0
-    assert corpus.record(1).content == ""
+    assert corpus[0].content == ""
 
 
 def test_limit_caps_records_not_lines(tmp_path):
     path = tmp_path / "gen.log"
     write_lines(path, ["", "- one", "- two", "- three"])
-    corpus, summary = read_dataset(str(path), limit=2)
-    assert summary.records == 2
-    assert corpus.record(2).content == "two"
+    corpus, _ = read_dataset(str(path), limit=2)
+    assert len(corpus) == 2
+    assert corpus[1].content == "two"
 
 
 def test_smaller_limit_reads_a_prefix(tmp_path):
@@ -189,13 +187,13 @@ def test_synthetic_seed_changes_output():
 def test_synthetic_length_and_truth_alignment():
     corpus, truth = generate_synthetic(demo_spec())
     assert len(corpus) == 300
-    assert set(truth) == {r.index for r in corpus.anomalous_records()}
+    assert set(truth) == {i for i, r in enumerate(corpus, start=1) if r.label is Label.ANOMALOUS}
     assert all(kind in AnomalyKind for kind in truth.values())
 
 
 def test_synthetic_zero_rate_is_all_normal():
     corpus, truth = generate_synthetic(demo_spec(anomaly_rate=0.0))
-    assert corpus.anomalous_count == 0
+    assert all(rec.label is Label.NORMAL for rec in corpus)
     assert truth == {}
 
 
@@ -204,7 +202,7 @@ def test_synthetic_attribute_anomalies_use_anomalous_pool():
     attr_indices = [i for i, k in truth.items() if k is AnomalyKind.ATTRIBUTE]
     assert attr_indices, "expected at least one attribute anomaly at 10% rate"
     for i in attr_indices:
-        assert "zed" in corpus.record(i).content
+        assert "zed" in corpus[i - 1].content
 
 
 def test_synthetic_validation_errors():

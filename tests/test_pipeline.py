@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from logtaxon.context import ContextBounds
 from logtaxon.ingest import AttributePool, SyntheticSpec, generate_synthetic
-from logtaxon.model import AnomalyKind
+from logtaxon.model import AnomalyKind, Label
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import ThresholdSweep
 from logtaxon.templating import MinerConfig
@@ -34,7 +34,8 @@ def test_anomaly_only_template_scores_exactly_one():
 def test_scores_cover_exactly_the_anomalous_records():
     corpus, _ = generate_synthetic(spec_with_one_failure_template())
     analysis = analyze_corpus(corpus)
-    assert set(analysis.scores) == {r.index for r in corpus.anomalous_records()}
+    anomalous = {i for i, r in enumerate(corpus, start=1) if r.label is Label.ANOMALOUS}
+    assert set(analysis.scores) == anomalous
 
 
 def test_all_normal_corpus_yields_empty_scores():

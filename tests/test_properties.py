@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracle import brute_force_scores, naive_mine
 from logtaxon.context import ContextBounds, build_all_contexts
-from logtaxon.model import Label, LogRecord, split_corpus
+from logtaxon.model import Label, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
@@ -53,18 +53,17 @@ tree_shapes = st.tuples(
 
 
 def corpus_from(lines):
-    records = [
-        LogRecord(i, Label.ANOMALOUS if anom else Label.NORMAL, text)
-        for i, (anom, text) in enumerate(lines, start=1)
-    ]
-    return tokenize_corpus(split_corpus(records))
+    records = [LogRecord(Label.ANOMALOUS if anom else Label.NORMAL, text) for anom, text in lines]
+    return tokenize_corpus(records)
 
 
 @given(labeled_lines)
 def test_corpus_counts_partition(lines):
     corpus = corpus_from(lines)
-    assert corpus.normal_count + corpus.anomalous_count == len(corpus)
-    assert corpus.anomalous_count == sum(1 for _ in corpus.anomalous_records())
+    normal = sum(rec.label is Label.NORMAL for rec in corpus)
+    anomalous = sum(rec.label is Label.ANOMALOUS for rec in corpus)
+    assert normal + anomalous == len(corpus)
+    assert anomalous == sum(1 for anom, _ in lines if anom)
 
 
 @given(contents)
@@ -81,7 +80,7 @@ def test_mining_assigns_every_record_a_valid_template(lines):
     assert len(mining.assignment) == len(corpus)
     ids = {t.id for t in mining.templates}
     assert set(mining.assignment) <= ids
-    for rec, tid in zip(corpus.records, mining.assignment):
+    for rec, tid in zip(corpus, mining.assignment):
         assert len(mining.template(tid).tokens) == len(rec.tokens)
 
 
@@ -90,15 +89,12 @@ def test_mining_assigns_every_record_a_valid_template(lines):
 def test_mining_never_raises_at_any_tree_shape(lines, depth, max_children):
     corpus = corpus_from(lines)
     mining = mine_templates(corpus, MinerConfig(tree_depth=depth, max_children=max_children))
-    for rec, tid in zip(corpus.records, mining.assignment):
+    for rec, tid in zip(corpus, mining.assignment):
         assert len(mining.template(tid).tokens) == len(rec.tokens)
 
 
 def pre_tokenized(token_lists):
-    return split_corpus(
-        LogRecord(i, Label.NORMAL, " ".join(tokens), tokens)
-        for i, tokens in enumerate(token_lists, start=1)
-    )
+    return tuple(LogRecord(Label.NORMAL, " ".join(tokens), tokens) for tokens in token_lists)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -148,7 +144,7 @@ def test_template_score_is_exact_fraction(anomalous, normal):
     if anomalous + normal == 0:
         return
     table = CountTable({1: (anomalous, normal)}, {}, {frozenset(): (1, 0)})
-    one = split_corpus([LogRecord(1, Label.ANOMALOUS, "", ())])
+    one = (LogRecord(Label.ANOMALOUS, "", ()),)
     score = score_corpus(one, table, [1], ((),), (frozenset(),))[1].template_score
     assert score == Fraction(anomalous, anomalous + normal)
     assert 0 <= score <= 1

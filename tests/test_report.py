@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logtaxon.model import AnomalyKind, Label, LogRecord, split_corpus
+from logtaxon.model import AnomalyKind, Label, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import (
     DEFAULT_THRESHOLDS,
@@ -117,11 +117,11 @@ def test_classify_is_monotone_in_threshold():
 
 def test_dataset_statistics_counts_shared_templates():
     records = [
-        LogRecord(1, Label.NORMAL, "task ok alpha"),
-        LogRecord(2, Label.ANOMALOUS, "task ok beta"),
-        LogRecord(3, Label.ANOMALOUS, "panic panic panic now"),
+        LogRecord(Label.NORMAL, "task ok alpha"),
+        LogRecord(Label.ANOMALOUS, "task ok beta"),
+        LogRecord(Label.ANOMALOUS, "panic panic panic now"),
     ]
-    stats = dataset_statistics(analyze_corpus(split_corpus(records)).table)
+    stats = dataset_statistics(analyze_corpus(records).table)
     assert stats.normal_messages == 1
     assert stats.anomalous_messages == 2
     assert stats.normal_templates == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from logtaxon.context import ContextBounds, build_all_contexts
-from logtaxon.model import Label, LogRecord, split_corpus
+from logtaxon.model import Label, LogRecord
 from logtaxon.scoring import CountTable, build_count_table, score_corpus
 
 NO_CONTEXT = frozenset()
@@ -11,9 +11,8 @@ NO_CONTEXT = frozenset()
 
 def labeled(*labels):
     """Corpus whose records only carry labels ('A'/'N'); content is irrelevant."""
-    return split_corpus(
-        LogRecord(i, Label.ANOMALOUS if ch == "A" else Label.NORMAL, "", tokens=())
-        for i, ch in enumerate(labels, start=1)
+    return tuple(
+        LogRecord(Label.ANOMALOUS if ch == "A" else Label.NORMAL, "", tokens=()) for ch in labels
     )
 
 
@@ -185,7 +184,7 @@ def test_count_conservation():
     ]:
         assert sum(a + n for a, n in counts.values()) == total
     anom = sum(a for a, _ in table.template_counts.values())
-    assert anom == corpus.anomalous_count
+    assert anom == sum(rec.label is Label.ANOMALOUS for rec in corpus)
 
 
 def test_build_count_table_checks_alignment():

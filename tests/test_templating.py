@@ -4,7 +4,7 @@ import pytest
 
 from oracle import naive_mine
 from logtaxon.context import build_all_contexts
-from logtaxon.model import Label, LogRecord, split_corpus
+from logtaxon.model import Label, LogRecord
 from logtaxon.scoring import build_count_table
 from logtaxon.templating import (
     DEFAULT_MASK_RULES,
@@ -25,10 +25,10 @@ from logtaxon.templating import (
 def corpus_of(*lines):
     """Build a tokenized corpus; prefix a line with '!' to mark it anomalous."""
     records = []
-    for i, line in enumerate(lines, start=1):
+    for line in lines:
         label = Label.ANOMALOUS if line.startswith("!") else Label.NORMAL
-        records.append(LogRecord(i, label, line.lstrip("!")))
-    return tokenize_corpus(split_corpus(records))
+        records.append(LogRecord(label, line.lstrip("!")))
+    return tokenize_corpus(records)
 
 
 # --- masking ---------------------------------------------------------------
@@ -163,10 +163,10 @@ def test_digit_bearing_first_token_routes_to_wildcard_child():
     # the numeric ones were masked to <:NUM:> anyway; use raw rule-free config
     config = MinerConfig(mask_rules=())
     records = [
-        LogRecord(1, Label.NORMAL, "w412x done ok fine"),
-        LogRecord(2, Label.NORMAL, "w413x done ok fine"),
+        LogRecord(Label.NORMAL, "w412x done ok fine"),
+        LogRecord(Label.NORMAL, "w413x done ok fine"),
     ]
-    tokenized = tokenize_corpus(split_corpus(records), ())
+    tokenized = tokenize_corpus(records, ())
     mining = mine_templates(tokenized, config)
     assert len(mining.templates) == 1
     assert mining.templates[0].text == "* done ok fine"
@@ -264,7 +264,7 @@ def test_backtracking_tries_the_literal_branch_first():
 
 
 def test_mining_requires_tokens():
-    corpus = split_corpus([LogRecord(1, Label.NORMAL, "raw")])
+    corpus = (LogRecord(Label.NORMAL, "raw"),)
     with pytest.raises(ValueError, match="not tokenized"):
         mine_templates(corpus)
 
