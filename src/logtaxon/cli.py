@@ -181,9 +181,8 @@ def _write_scores_csv(analysis: Analysis, path: Path) -> None:
             a_f, a_n, a_d = _frac_fields(triple.template_score)
             b_f, b_n, b_d = _frac_fields(triple.attribute_score)
             g_f, g_n, g_d = _frac_fields(triple.context_score)
-            writer.writerow(
-                [index, analysis.mining.template_id(index), a_f, b_f, g_f, a_n, a_d, b_n, b_d, g_n, g_d]
-            )
+            template_id = analysis.mining.assignment[index - 1]
+            writer.writerow([index, template_id, a_f, b_f, g_f, a_n, a_d, b_n, b_d, g_n, g_d])
 
 
 def _write_contexts_csv(analysis: Analysis, path: Path) -> None:

@@ -10,7 +10,9 @@ gzip-compressed; that is sniffed from the magic bytes, not the name.
 from __future__ import annotations
 
 import gzip
+import io
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Mapping
 
@@ -52,12 +54,13 @@ class IngestSummary:
     malformed_skipped: int
 
 
-def _open_text(path: str) -> IO[str]:
-    with open(path, "rb") as raw:
-        magic = raw.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rt", encoding="utf-8", errors="replace")
-    return open(path, encoding="utf-8", errors="replace")
+def _decoded(raw: io.BufferedReader) -> IO[str]:
+    """Text of an open binary file, gunzipped when it starts with the gzip magic bytes.
+
+    `peek` leaves the magic bytes in place, so a pipe is read once and loses nothing.
+    """
+    stream = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
+    return io.TextIOWrapper(stream, encoding="utf-8", errors="replace")
 
 
 def read_dataset(
@@ -70,29 +73,37 @@ def read_dataset(
     A line is malformed when it has fewer fields than the header needs. Blank
     lines count as malformed too. `limit` caps the number of parsed records,
     not raw lines, and must be at least 1. Raises ValueError("empty corpus")
-    when nothing parses.
+    when nothing parses, and names the file in a ValueError when gzip input
+    is truncated or corrupt.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     records: list[LogRecord] = []
     lines_read = 0
     malformed = 0
-    with _open_text(path) as fh:
-        for line in fh:
-            lines_read += 1
-            parts = line.split(maxsplit=format.header_fields)
-            if len(parts) < format.header_fields:
-                malformed += 1
-                continue
-            label = (
-                Label.NORMAL
-                if parts[format.label_field] == format.normal_token
-                else Label.ANOMALOUS
-            )
-            content = parts[format.header_fields].rstrip("\n") if len(parts) > format.header_fields else ""
-            records.append(LogRecord(label, content))
-            if limit is not None and len(records) >= limit:
-                break
+    with open(path, "rb") as raw, _decoded(raw) as fh:
+        try:
+            for line in fh:
+                lines_read += 1
+                parts = line.split(maxsplit=format.header_fields)
+                if len(parts) < format.header_fields:
+                    malformed += 1
+                    continue
+                label = (
+                    Label.NORMAL
+                    if parts[format.label_field] == format.normal_token
+                    else Label.ANOMALOUS
+                )
+                content = (
+                    parts[format.header_fields].rstrip("\n")
+                    if len(parts) > format.header_fields
+                    else ""
+                )
+                records.append(LogRecord(label, content))
+                if limit is not None and len(records) >= limit:
+                    break
+        except (EOFError, zlib.error) as exc:
+            raise ValueError(f"damaged gzip input {path!r}: {exc}") from None
     if not records:
         raise ValueError("empty corpus")
     return tuple(records), IngestSummary(lines_read, malformed)

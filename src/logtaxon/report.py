@@ -211,25 +211,15 @@ class TaxonomyReport:
 
 def sweep_report(
     scores: Mapping[int, ScoreTriple],
-    sweep: ThresholdSweep | None = None,
-    stats: DatasetStats | None = None,
+    sweep: ThresholdSweep,
+    stats: DatasetStats,
     config: Mapping[str, object] | None = None,
     source: Mapping[str, object] | None = None,
 ) -> TaxonomyReport:
     """Classify every scored message at every threshold and tally the outcome.
 
-    `stats` normally comes from dataset_statistics; when omitted, a minimal
-    stand-in is derived from the score map itself (message counts only).
+    `stats` is the report's dataset block, as dataset_statistics computes it.
     """
-    sweep = sweep or ThresholdSweep()
-    if stats is None:
-        stats = DatasetStats(
-            normal_messages=0,
-            anomalous_messages=len(scores),
-            normal_templates=0,
-            anomalous_templates=0,
-            intersection_templates=0,
-        )
     # Score triples repeat across messages (few distinct templates and
     # signatures), so classify each distinct triple once and weight by count.
     distinct = Counter(scores.values())

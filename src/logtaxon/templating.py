@@ -172,9 +172,6 @@ class Template:
     id: int
     tokens: TokenSequence
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
@@ -222,8 +219,6 @@ class _Forest:
 
     def _routing_tokens(self, tokens: Sequence[str]) -> Sequence[str]:
         # Never route on the last token; it stays available for similarity.
-        if not tokens:
-            return ()
         return tokens[: min(self.config.routing_levels, len(tokens) - 1)]
 
     def _descend(self, tokens: Sequence[str]) -> _Node | None:
@@ -284,8 +279,13 @@ class _Forest:
     def _best_match(
         self, clusters: Sequence[_Cluster], tokens: Sequence[str]
     ) -> tuple[_Cluster, bool]:
-        """Best cluster of a non-empty leaf, and whether it meets the threshold."""
+        """Best cluster of a non-empty leaf, and whether it meets the threshold.
+
+        An empty message matches the leaf's first cluster, the empty template.
+        """
         best = clusters[0]
+        if not tokens:
+            return best, True
         best_key = (-1.0, -1)
         for cluster in clusters:
             key = _similarity(cluster.tokens, tokens)
@@ -294,19 +294,17 @@ class _Forest:
                 best = cluster
         return best, best_key[0] >= self.config.similarity_threshold
 
-    def _new_cluster(self, tokens: Sequence[str], node: _Node) -> _Cluster:
-        cluster = _Cluster(len(self.clusters) + 1, list(tokens))
+    def _new_cluster(self, tokens: Sequence[str], cluster_id: int | None = None) -> _Cluster:
+        node = self._descend_for_insert(tokens)
+        if cluster_id is None:
+            cluster_id = len(self.clusters) + 1
+        cluster = _Cluster(cluster_id, list(tokens))
         self.clusters.append(cluster)
         node.clusters.append(cluster)
         return cluster
 
     def learn(self, tokens: Sequence[str]) -> int:
         """Pass-1 step: match-or-create a cluster and refine its template."""
-        if not tokens:
-            node = self.root.setdefault(0, _Node())
-            if node.clusters:
-                return node.clusters[0].id
-            return self._new_cluster((), node).id
         node = self._descend(tokens)
         if node is not None and node.clusters:
             matched, meets_threshold = self._best_match(node.clusters, tokens)
@@ -315,7 +313,7 @@ class _Forest:
                     if t != WILDCARD and t != w:
                         matched.tokens[i] = WILDCARD
                 return matched.id
-        return self._new_cluster(tokens, self._descend_for_insert(tokens)).id
+        return self._new_cluster(tokens).id
 
     def assign(self, tokens: Sequence[str]) -> int:
         """Pass-2 step: pick a cluster from the frozen forest for a message.
@@ -324,25 +322,18 @@ class _Forest:
         threshold (possible once a template has gained wildcards after the
         message was first seen), so assignment is total for mined corpora.
         """
-        # The greedy descent is cheaper and, whenever it reaches a leaf, reaches
-        # the one the backtracking descent would.
-        node = self._descend(tokens) or self._descend_frozen(tokens)
+        node = self._descend_frozen(tokens)
         if node is None or not node.clusters:
             raise RuntimeError(
                 f"no template cluster for a sequence of {len(tokens)} tokens; "
                 "the forest was mined from a different corpus"
             )
-        if not tokens:
-            return node.clusters[0].id
         best, _ = self._best_match(node.clusters, tokens)
         return best.id
 
     def insert_frozen(self, cluster_id: int, tokens: Sequence[str]) -> None:
         """Place an existing template into the tree without refining anything."""
-        node = self._descend_for_insert(tokens)
-        cluster = _Cluster(cluster_id, list(tokens))
-        self.clusters.append(cluster)
-        node.clusters.append(cluster)
+        self._new_cluster(tokens, cluster_id)
 
 
 @dataclass(frozen=True)
@@ -360,10 +351,6 @@ class MiningResult:
                 return tpl
         raise KeyError(f"no template with id {template_id}")
 
-    def template_id(self, index: int) -> int:
-        """Template id of the record at 1-based corpus index."""
-        return self.assignment[index - 1]
-
 
 def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = None) -> MiningResult:
     """Mine templates over a tokenized corpus and assign one id per record.
@@ -379,7 +366,9 @@ def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = Non
     for tokens in token_lists:  # order-dependent tree growth, keep sequential
         forest.learn(tokens)
 
-    assignment = tuple(forest.assign(tokens) for tokens in token_lists)
+    # The forest is frozen now, so every copy of a sequence gets the same id.
+    ids = {tokens: forest.assign(tokens) for tokens in dict.fromkeys(token_lists)}
+    assignment = tuple(map(ids.__getitem__, token_lists))
     templates = tuple(Template(c.id, tuple(intern(t) for t in c.tokens)) for c in forest.clusters)
     return MiningResult(templates, assignment)
 

@@ -1,3 +1,4 @@
+import gzip
 import json
 import subprocess
 import sys
@@ -203,6 +204,37 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     rc = main(["analyze", "--input", str(tmp_path / "nope.log")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_input_from_a_pipe(tmp_path):
+    out_dir = tmp_path / "out"
+    argv = ["analyze", "--input", "/dev/stdin", "--out-dir", str(out_dir)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "logtaxon.cli", *argv],
+        input="- a b\nANOM a c\n",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "parsed 2 records (1 anomalous)" in proc.stderr
+    assert json.loads((out_dir / "report.json").read_text())["dataset"]["anomalousMessages"] == 1
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_damaged_gzip_input_fails_cleanly(tmp_path, demo_log, capsys, damage):
+    data = bytearray(gzip.compress(demo_log.read_bytes(), mtime=0))
+    if damage == "truncated":
+        del data[len(data) // 2 :]
+    else:
+        data[40] ^= 0xFF
+        data[60] ^= 0xFF
+    path = tmp_path / "demo.log.gz"
+    path.write_bytes(data)
+    rc, _ = run_analyze(tmp_path, path)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: damaged gzip input {str(path)!r}: " in err
+    assert "Traceback" not in err
 
 
 def test_bad_thresholds_fail_cleanly(tmp_path, demo_log, capsys):

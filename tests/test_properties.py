@@ -11,7 +11,7 @@ from oracle import brute_force_scores, naive_mine
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.model import Label, LogRecord
 from logtaxon.pipeline import analyze_corpus
-from logtaxon.report import ThresholdSweep, classify, sweep_report
+from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
 from logtaxon.templating import (
     MinerConfig,
@@ -158,7 +158,8 @@ def test_classification_shrinks_as_threshold_rises(triple, t1, t2):
 
 @given(st.dictionaries(st.integers(1, 30), triples, max_size=20))
 def test_report_rows_partition_the_scored_set(scores):
-    report = sweep_report(scores, ThresholdSweep((Fraction(1, 2), Fraction(1))))
+    stats = DatasetStats(0, len(scores), 0, 0, 0)
+    report = sweep_report(scores, ThresholdSweep((Fraction(1, 2), Fraction(1))), stats)
     for row in report.rows:
         assert row.classified + row.unclassified == len(scores)
         for kind_count in row.counts.values():

@@ -195,8 +195,3 @@ def test_report_handles_zero_anomalies():
     assert report.rows[0].classified == 0
     assert report.rows[0].unclassified == 0
     assert "0.000000" in report.to_csv()
-
-
-def test_sweep_report_default_stats_fall_back_to_score_count():
-    report = sweep_report({1: triple(1, None, 1)})
-    assert report.stats.anomalous_messages == 1

@@ -172,12 +172,20 @@ def test_digit_bearing_first_token_routes_to_wildcard_child():
     assert mining.templates[0].text == "* done ok fine"
 
 
-def test_empty_content_messages_cluster_together():
+def test_empty_content_messages_cluster_together(tmp_path):
     corpus = corpus_of("", "", "real message here")
     mining = mine_templates(corpus)
     assert mining.assignment[0] == mining.assignment[1]
     assert mining.assignment[2] != mining.assignment[0]
     assert mining.template(mining.assignment[0]).tokens == ()
+    # A reloaded forest places the empty template through the same insertion
+    # path and matches an empty message to it.
+    path = tmp_path / "forest.json"
+    save_forest(mining, {}, str(path))
+    templates, _ = load_forest(str(path))
+    matcher = TemplateMatcher(templates)
+    assert matcher.assign(()) == mining.assignment[0]
+    assert matcher.assign(tokenize("real message here")) == mining.assignment[2]
 
 
 def test_similarity_threshold_controls_merging():
