@@ -35,9 +35,7 @@ from .templating import (
     MinerConfig,
     MiningResult,
     Template,
-    TemplateMatcher,
     attributes_for_corpus,
-    load_forest,
     load_mask_rules,
     mine_templates,
     save_forest,
@@ -69,7 +67,6 @@ __all__ = [
     "SyntheticSpec",
     "TaxonomyReport",
     "Template",
-    "TemplateMatcher",
     "ThresholdRow",
     "ThresholdSweep",
     "TokenSequence",
@@ -80,7 +77,6 @@ __all__ = [
     "classify",
     "dataset_statistics",
     "generate_synthetic",
-    "load_forest",
     "load_mask_rules",
     "mine_templates",
     "read_dataset",

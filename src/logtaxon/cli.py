@@ -30,6 +30,9 @@ from .templating import DEFAULT_MASK_RULES, MinerConfig, load_mask_rules, save_f
 
 OUT_DIR_ENV = "LOGTAXON_OUT_DIR"
 
+# Exit status of a fault in logtaxon itself; 1 is bad input, 2 argparse's usage error.
+EXIT_INTERNAL = 3
+
 # Flag defaults come from the library's own, so each lives in one place.
 _BOUNDS = ContextBounds()
 _MINER = MinerConfig()
@@ -263,8 +266,8 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
     print(analysis.report.to_text(), end="")
     elapsed = time.monotonic() - started
-    # Pass 2 can leave a pass-1 template with no line. templates.json keeps it,
-    # so a saved forest rebuilds the same tree; the report counts only the rest.
+    # Pass 2 can leave a pass-1 template with no line. templates.json keeps
+    # every mined template; the report counts only the matched ones.
     mined = len(analysis.mining.templates)
     unmatched = mined - len(analysis.table.template_counts)
     print(
@@ -284,6 +287,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:  # a broken invariant of the pipeline, not of the input
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from sys import intern
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .model import LogRecord, TokenSequence
 
@@ -190,32 +192,36 @@ class _Cluster:
 
 
 class _Node:
-    __slots__ = ("children", "clusters")
+    """A routing node; a leaf also holds its clusters and an index over them.
+
+    A cluster's slot is its position in `clusters`, the leaf's creation order.
+    `postings[i]` maps a literal token to the slots of the clusters whose
+    template holds it at position i, and `wildcards[slot]` counts that
+    cluster's wildcard positions.
+    """
+
+    __slots__ = ("children", "clusters", "postings", "wildcards")
 
     def __init__(self) -> None:
         self.children: dict[object, _Node] = {}
         self.clusters: list[_Cluster] = []
-
-
-def _similarity(template: Sequence[str], tokens: Sequence[str]) -> tuple[float, int]:
-    """Literal-match ratio and wildcard count of a template against a message."""
-    matches = 0
-    wildcards = 0
-    for t, w in zip(template, tokens):
-        if t == WILDCARD:
-            wildcards += 1
-        elif t == w:
-            matches += 1
-    return matches / len(template), wildcards
+        self.postings: list[dict[str, list[int]]] = []
+        self.wildcards: list[int] = []
 
 
 class _Forest:
-    """Length-partitioned routing tree holding template clusters at its leaves."""
+    """Length-partitioned routing tree holding template clusters at its leaves.
+
+    `epoch` moves whenever a cluster is created or a token refined to a
+    wildcard; pass 1 memoizes each sequence's cluster under the epoch it left.
+    """
 
     def __init__(self, config: MinerConfig):
         self.config = config
         self.root: dict[int, _Node] = {}
         self.clusters: list[_Cluster] = []
+        self.epoch = 0
+        self.memo: dict[TokenSequence, tuple[int, int]] = {}
 
     def _routing_tokens(self, tokens: Sequence[str]) -> Sequence[str]:
         # Never route on the last token; it stays available for similarity.
@@ -276,64 +282,86 @@ class _Forest:
                 node = node.children.setdefault(WILDCARD, _Node())
         return node
 
-    def _best_match(
-        self, clusters: Sequence[_Cluster], tokens: Sequence[str]
-    ) -> tuple[_Cluster, bool]:
-        """Best cluster of a non-empty leaf, and whether it meets the threshold.
+    def _meets_threshold(self, hits: int, tokens: Sequence[str]) -> bool:
+        return not tokens or hits / len(tokens) >= self.config.similarity_threshold
 
-        An empty message matches the leaf's first cluster, the empty template.
+    @staticmethod
+    def _best_match(leaf: _Node, tokens: Sequence[str]) -> tuple[int, int]:
+        """Slot of the leaf's best cluster for a message, and its literal hits.
+
+        Clusters rank by (literal hits, wildcards), the first slot on ties.
+        Every template in a leaf has the message's length, so this is the
+        order of the hit ratio. Only clusters sharing a literal token with
+        the message are counted; the others score (0, wildcards) and win
+        only when no cluster has a hit. A literal "*" in a message is never a
+        hit, since the postings hold no wildcard.
         """
-        best = clusters[0]
-        if not tokens:
-            return best, True
-        best_key = (-1.0, -1)
-        for cluster in clusters:
-            key = _similarity(cluster.tokens, tokens)
-            if key > best_key:
-                best_key = key
-                best = cluster
-        return best, best_key[0] >= self.config.similarity_threshold
+        hits = Counter(chain.from_iterable(p.get(t, ()) for p, t in zip(leaf.postings, tokens)))
+        wildcards = leaf.wildcards
+        if not hits:
+            return wildcards.index(max(wildcards)), 0
+        slot = max(hits, key=lambda s: (hits[s], wildcards[s], -s))
+        return slot, hits[slot]
 
-    def _new_cluster(self, tokens: Sequence[str], cluster_id: int | None = None) -> _Cluster:
-        node = self._descend_for_insert(tokens)
-        if cluster_id is None:
-            cluster_id = len(self.clusters) + 1
-        cluster = _Cluster(cluster_id, list(tokens))
+    def _new_cluster(self, tokens: Sequence[str]) -> _Cluster:
+        leaf = self._descend_for_insert(tokens)
+        if not leaf.clusters:
+            leaf.postings = [{} for _ in tokens]
+        slot = len(leaf.clusters)
+        for posting, token in zip(leaf.postings, tokens):
+            if token != WILDCARD:
+                posting.setdefault(token, []).append(slot)
+        leaf.wildcards.append(tokens.count(WILDCARD))
+        cluster = _Cluster(len(self.clusters) + 1, list(tokens))
         self.clusters.append(cluster)
-        node.clusters.append(cluster)
+        leaf.clusters.append(cluster)
+        self.epoch += 1
         return cluster
 
-    def learn(self, tokens: Sequence[str]) -> int:
-        """Pass-1 step: match-or-create a cluster and refine its template."""
-        node = self._descend(tokens)
-        if node is not None and node.clusters:
-            matched, meets_threshold = self._best_match(node.clusters, tokens)
-            if meets_threshold:
-                for i, (t, w) in enumerate(zip(matched.tokens, tokens)):
-                    if t != WILDCARD and t != w:
-                        matched.tokens[i] = WILDCARD
-                return matched.id
-        return self._new_cluster(tokens).id
+    def learn(self, tokens: TokenSequence) -> int:
+        """Pass-1 step: match-or-create a cluster and refine its template.
+
+        A sequence learned before at the current epoch gets its stored id:
+        the forest is as that call left it, its cluster holding the sequence
+        at every literal position, so the full step would pick it and change nothing.
+        """
+        seen = self.memo.get(tokens)
+        if seen is not None and seen[0] == self.epoch:
+            return seen[1]
+        leaf = self._descend(tokens)
+        slot, hits = self._best_match(leaf, tokens) if leaf is not None else (0, -1)
+        if hits >= 0 and self._meets_threshold(hits, tokens):
+            cluster = leaf.clusters[slot]
+            for i, (t, w) in enumerate(zip(cluster.tokens, tokens)):
+                if t != WILDCARD and t != w:
+                    cluster.tokens[i] = WILDCARD
+                    leaf.postings[i][t].remove(slot)
+                    leaf.wildcards[slot] += 1
+                    self.epoch += 1
+        else:
+            cluster = self._new_cluster(tokens)
+            hits = len(tokens) - tokens.count(WILDCARD)
+        # A cluster made from literal "*" tokens can miss the threshold
+        # against its own message, whose next copy then makes another cluster.
+        if self._meets_threshold(hits, tokens):
+            self.memo[tokens] = (self.epoch, cluster.id)
+        return cluster.id
 
     def assign(self, tokens: Sequence[str]) -> int:
         """Pass-2 step: pick a cluster from the frozen forest for a message.
 
-        Falls back to the most similar leaf cluster when none reaches the
-        threshold (possible once a template has gained wildcards after the
-        message was first seen), so assignment is total for mined corpora.
+        Takes the best leaf cluster even below the threshold (possible once a
+        template has gained wildcards after the message was first seen), so
+        assignment is total for mined corpora.
         """
-        node = self._descend_frozen(tokens)
-        if node is None or not node.clusters:
+        leaf = self._descend_frozen(tokens)
+        if leaf is None:
             raise RuntimeError(
                 f"no template cluster for a sequence of {len(tokens)} tokens; "
                 "the forest was mined from a different corpus"
             )
-        best, _ = self._best_match(node.clusters, tokens)
-        return best.id
-
-    def insert_frozen(self, cluster_id: int, tokens: Sequence[str]) -> None:
-        """Place an existing template into the tree without refining anything."""
-        self._new_cluster(tokens, cluster_id)
+        slot, _ = self._best_match(leaf, tokens)
+        return leaf.clusters[slot].id
 
 
 @dataclass(frozen=True)
@@ -417,34 +445,3 @@ def save_forest(mining: MiningResult, counts: Mapping[int, tuple[int, int]], pat
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def load_forest(path: str) -> tuple[tuple[Template, ...], dict[int, tuple[int, int]]]:
-    """Read a saved forest; returns templates and {id: (anomalous, normal)} counts."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schemaVersion") != FOREST_SCHEMA_VERSION:
-        raise ValueError(f"unsupported forest schema in {path!r}")
-    templates = []
-    counts = {}
-    for entry in doc["templates"]:
-        templates.append(Template(entry["id"], tuple(entry["tokens"])))
-        counts[entry["id"]] = (entry["anomalousCount"], entry["normalCount"])
-    templates.sort(key=lambda t: t.id)
-    return tuple(templates), counts
-
-
-class TemplateMatcher:
-    """Assigns messages against a previously mined template set.
-
-    Rebuilds the routing tree by inserting templates in id order; useful for
-    inspecting or re-applying a saved forest to new data.
-    """
-
-    def __init__(self, templates: Iterable[Template], config: MinerConfig | None = None):
-        self._forest = _Forest(config or MinerConfig())
-        for tpl in sorted(templates, key=lambda t: t.id):
-            self._forest.insert_frozen(tpl.id, tpl.tokens)
-
-    def assign(self, tokens: Sequence[str]) -> int:
-        return self._forest.assign(tokens)

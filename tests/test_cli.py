@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from logtaxon.cli import main
+from logtaxon import templating
+from logtaxon.cli import EXIT_INTERNAL, main
 
 
 @pytest.fixture()
@@ -204,6 +205,19 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     rc = main(["analyze", "--input", str(tmp_path / "nope.log")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_internal_error_fails_cleanly(tmp_path, demo_log, capsys, monkeypatch):
+    def no_leaf(self, tokens):
+        raise RuntimeError("no template cluster for a sequence of 3 tokens")
+
+    monkeypatch.setattr(templating._Forest, "assign", no_leaf)
+    rc, _ = run_analyze(tmp_path, demo_log)
+    assert rc == EXIT_INTERNAL
+    assert rc not in (0, 1, 2)  # success, bad input, argparse's usage error
+    err = capsys.readouterr().err
+    assert "error: internal: no template cluster" in err
+    assert "Traceback" not in err
 
 
 def test_input_from_a_pipe(tmp_path):

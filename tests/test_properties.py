@@ -1,7 +1,5 @@
 """Randomized invariants over the whole pipeline."""
 
-import os
-import tempfile
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -15,10 +13,7 @@ from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
 from logtaxon.templating import (
     MinerConfig,
-    TemplateMatcher,
-    load_forest,
     mine_templates,
-    save_forest,
     tokenize,
     tokenize_corpus,
 )
@@ -47,6 +42,13 @@ miner_inputs = st.lists(
     min_size=1,
     max_size=60,
 )
+# A few base sequences repeated many times, so pass 1 meets most sequences
+# again, sometimes after the forest changed and sometimes not.
+repetitive_inputs = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "x1", "7", "*"]), max_size=5).map(tuple),
+    min_size=1,
+    max_size=6,
+).flatmap(lambda bases: st.lists(st.sampled_from(bases), min_size=20, max_size=80))
 tree_shapes = st.tuples(
     st.integers(2, 6), st.sampled_from([0.2, 0.4, 0.5, 0.75, 1.0]), st.integers(2, 5)
 ).map(lambda t: MinerConfig(tree_depth=t[0], similarity_threshold=t[1], max_children=t[2]))
@@ -108,16 +110,15 @@ def test_mining_matches_the_naive_reference_miner(token_lists, config):
     assert mining.assignment == assignment
 
 
-@settings(max_examples=200, deadline=None)
-@given(miner_inputs, tree_shapes)
-def test_saved_forest_reproduces_the_assignment(token_lists, config):
+@settings(max_examples=500, deadline=None)
+@given(repetitive_inputs, tree_shapes)
+def test_mining_repeated_sequences_matches_the_naive_reference_miner(token_lists, config):
     mining = mine_templates(pre_tokenized(token_lists), config)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "templates.json")
-        save_forest(mining, {}, path)
-        templates, _ = load_forest(path)
-    matcher = TemplateMatcher(templates, config)
-    assert tuple(matcher.assign(tokens) for tokens in token_lists) == mining.assignment
+    templates, assignment = naive_mine(
+        token_lists, config.tree_depth, config.similarity_threshold, config.max_children
+    )
+    assert [t.tokens for t in mining.templates] == templates
+    assert mining.assignment == assignment
 
 
 @given(

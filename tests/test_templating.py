@@ -11,9 +11,7 @@ from logtaxon.templating import (
     MaskRule,
     MinerConfig,
     MiningResult,
-    TemplateMatcher,
     attributes_for_corpus,
-    load_forest,
     load_mask_rules,
     mine_templates,
     save_forest,
@@ -172,20 +170,12 @@ def test_digit_bearing_first_token_routes_to_wildcard_child():
     assert mining.templates[0].text == "* done ok fine"
 
 
-def test_empty_content_messages_cluster_together(tmp_path):
+def test_empty_content_messages_cluster_together():
     corpus = corpus_of("", "", "real message here")
     mining = mine_templates(corpus)
     assert mining.assignment[0] == mining.assignment[1]
     assert mining.assignment[2] != mining.assignment[0]
     assert mining.template(mining.assignment[0]).tokens == ()
-    # A reloaded forest places the empty template through the same insertion
-    # path and matches an empty message to it.
-    path = tmp_path / "forest.json"
-    save_forest(mining, {}, str(path))
-    templates, _ = load_forest(str(path))
-    matcher = TemplateMatcher(templates)
-    assert matcher.assign(()) == mining.assignment[0]
-    assert matcher.assign(tokenize("real message here")) == mining.assignment[2]
 
 
 def test_similarity_threshold_controls_merging():
@@ -228,6 +218,41 @@ def test_max_children_overflow_matches_the_reference_miner(lines, expected):
     templates, assignment = naive_mine([rec.tokens for rec in corpus], 4, 0.75, 3)
     assert [t.tokens for t in mining.templates] == templates
     assert mining.assignment == assignment
+
+
+@pytest.mark.parametrize(
+    "lines, config, expected, assignment",
+    [
+        # A literal "*" never counts as a hit, so a cluster made from these
+        # lines misses the threshold against the very line that made it: every
+        # repeat makes a cluster of its own, and pass 2 puts all on the first.
+        (["*", "*"], MinerConfig(tree_depth=2, similarity_threshold=0.2), ["*", "*"], (1, 1)),
+        (["* * a"] * 3, MinerConfig(similarity_threshold=0.5), ["* * a"] * 3, (1, 1, 1)),
+        # Line 5 matches "a b c * *" (3 hits, 2 wildcards) ahead of "Z * c d e"
+        # (3 hits, 1 wildcard). Line 6 refines the first to "a b * * *", so
+        # when line 5 comes back the second ranks first and loses its "Z".
+        (
+            ["a b c f g", "a b c h i", "Z y c d e", "Z w c d e"]
+            + ["a b c d e", "a b q r s", "a b c d e"],
+            MinerConfig(tree_depth=3),
+            ["a b * * *", "* * c d e"],
+            (1, 1, 2, 2, 2, 1, 2),
+        ),
+    ],
+    ids=["only-wildcard", "wildcards-and-a-literal", "refined-elsewhere"],
+)
+def test_repeated_lines_match_the_reference_miner(lines, config, expected, assignment):
+    corpus = corpus_of(*lines)
+    mining = mine_templates(corpus, config)
+    assert [t.text for t in mining.templates] == expected
+    assert mining.assignment == assignment
+    reference = naive_mine(
+        [rec.tokens for rec in corpus],
+        config.tree_depth,
+        config.similarity_threshold,
+        config.max_children,
+    )
+    assert ([t.tokens for t in mining.templates], mining.assignment) == reference
 
 
 def test_template_ids_are_dense_and_one_based():
@@ -315,9 +340,14 @@ def test_forest_round_trip(tmp_path):
         build_all_contexts(mining.assignment),
     )
     save_forest(mining, table.template_counts, str(path))
-    templates, counts = load_forest(str(path))
-    assert templates == mining.templates
-    by_text = {t.text: counts[t.id] for t in templates}
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["schemaVersion"] == 1
+    entries = doc["templates"]
+    assert [(e["id"], tuple(e["tokens"])) for e in entries] == [
+        (t.id, t.tokens) for t in mining.templates
+    ]
+    by_text = {" ".join(e["tokens"]): (e["anomalousCount"], e["normalCount"]) for e in entries}
     assert by_text["Start * service at node *"] == (1, 1)  # (anomalous, normal)
     assert by_text["shutdown complete"] == (0, 1)
 
@@ -330,23 +360,8 @@ def test_forest_keeps_a_template_without_members(tmp_path):
     assert mining.assignment == (3, 2, 2, 3)
     path = tmp_path / "forest.json"
     save_forest(mining, {2: (0, 2), 3: (0, 2)}, str(path))
-    templates, counts = load_forest(str(path))
-    assert templates == mining.templates
+    with open(path, encoding="utf-8") as fh:
+        entries = json.load(fh)["templates"]
+    assert [tuple(e["tokens"]) for e in entries] == [t.tokens for t in mining.templates]
+    counts = {e["id"]: (e["anomalousCount"], e["normalCount"]) for e in entries}
     assert counts == {1: (0, 0), 2: (0, 2), 3: (0, 2)}
-
-
-def test_matcher_reapplies_saved_templates(tmp_path):
-    corpus = corpus_of(
-        "Start mail service at node wally001",
-        "Start printer service at node wally005",
-    )
-    mining = mine_templates(corpus)
-    matcher = TemplateMatcher(mining.templates)
-    assert matcher.assign(tokenize("Start fax service at node wally009")) == 1
-
-
-def test_load_forest_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "forest.json"
-    path.write_text('{"schemaVersion": 99, "templates": []}')
-    with pytest.raises(ValueError):
-        load_forest(str(path))
