@@ -193,7 +193,7 @@ def _write_contexts_csv(analysis: Analysis, path: Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "templateIds"])
         for index, sig in enumerate(analysis.signatures, start=1):
-            writer.writerow([index, " ".join(str(t) for t in sorted(sig))])
+            writer.writerow([index, " ".join(map(str, sig))])
 
 
 def _run_analyze(args: argparse.Namespace) -> int:

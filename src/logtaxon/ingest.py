@@ -74,11 +74,13 @@ def read_dataset(
     lines count as malformed too. `limit` caps the number of parsed records,
     not raw lines, and must be at least 1. Raises ValueError("empty corpus")
     when nothing parses, and names the file in a ValueError when gzip input
-    is truncated or corrupt.
+    is truncated or corrupt. Equal contents share one string, whose hash
+    the later stages' lookups then find already computed.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     records: list[LogRecord] = []
+    contents: dict[str, str] = {}
     lines_read = 0
     malformed = 0
     with open(path, "rb") as raw, _decoded(raw) as fh:
@@ -99,7 +101,7 @@ def read_dataset(
                     if len(parts) > format.header_fields
                     else ""
                 )
-                records.append(LogRecord(label, content))
+                records.append(LogRecord(label, contents.setdefault(content, content)))
                 if limit is not None and len(records) >= limit:
                     break
         except (EOFError, zlib.error) as exc:

@@ -25,9 +25,10 @@ REPORT_SCHEMA_VERSION = 1
 
 def _as_fraction(value: float | str | int | Fraction) -> Fraction:
     # Fraction(str(0.7)) == 7/10, while Fraction(0.7) would be the binary float.
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    try:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (ValueError, ZeroDivisionError):  # "1/0" raises the latter
+        raise ValueError(f"bad threshold {value!r}") from None
 
 
 DEFAULT_THRESHOLDS: tuple[Fraction, ...] = (
@@ -62,7 +63,7 @@ class ThresholdSweep:
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ValueError("no thresholds given")
-        return cls(tuple(Fraction(p) for p in parts))
+        return cls(tuple(parts))
 
 
 def classify(score: ScoreTriple, threshold: Fraction | float | str) -> frozenset[AnomalyKind]:

@@ -103,18 +103,28 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
     return tuple(rules)
 
 
-def _mask(token: str, rules: Sequence[MaskRule]) -> str:
-    """The token rewritten by the first matching rule, or unchanged; interned."""
-    for rule in rules:
-        masked = rule.apply(token)
-        if masked is not None:
-            return intern(masked)
-    return intern(token)
+class _MaskCache(dict):
+    """Each raw token's masked form, computed on first lookup: the token
+    rewritten by the first matching rule, or unchanged; interned."""
+
+    def __init__(self, rules: Sequence[MaskRule]):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, token: str) -> str:
+        for rule in self.rules:
+            masked = rule.apply(token)
+            if masked is not None:
+                break
+        else:
+            masked = token
+        masked = self[token] = intern(masked)
+        return masked
 
 
 def tokenize(content: str, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES) -> TokenSequence:
     """Split content on whitespace runs and mask each token with the first matching rule."""
-    return tuple(_mask(token, rules) for token in content.split())
+    return tuple(map(_MaskCache(rules).__getitem__, content.split()))
 
 
 def tokenize_corpus(
@@ -122,21 +132,21 @@ def tokenize_corpus(
 ) -> tuple[LogRecord, ...]:
     """Return a copy of the corpus with every record's tokens filled in.
 
-    Raw tokens repeat enormously across a log, so the masking outcome is
-    memoized per distinct token instead of re-running the rules each time.
+    Raw tokens and whole contents repeat enormously across a log, so masking
+    is memoized per distinct token and tokenizing per distinct content, and
+    equal masked sequences share one tuple.
     """
-    cache: dict[str, str] = {}
-
-    def mask(token: str) -> str:
-        try:
-            return cache[token]
-        except KeyError:
-            out = cache[token] = _mask(token, rules)
-            return out
-
-    return tuple(
-        LogRecord(r.label, r.content, tuple(mask(t) for t in r.content.split())) for r in corpus
-    )
+    cache = _MaskCache(rules)
+    sequences: dict[TokenSequence, TokenSequence] = {}
+    by_content: dict[str, TokenSequence] = {}
+    records = []
+    for r in corpus:
+        tokens = by_content.get(r.content)
+        if tokens is None:
+            tokens = tuple(map(cache.__getitem__, r.content.split()))
+            tokens = by_content[r.content] = sequences.setdefault(tokens, tokens)
+        records.append(LogRecord(r.label, r.content, tokens))
+    return tuple(records)
 
 
 @dataclass(frozen=True)
@@ -247,20 +257,17 @@ class _Forest:
         backtracking then still finds the branch the message was learned on.
         """
         routing = self._routing_tokens(tokens)
-
-        def leaf(node: _Node, level: int) -> _Node | None:
+        node = self.root.get(len(tokens))
+        stack = [] if node is None else [(node, 0)]
+        while stack:  # depth first, the literal child popped before the wildcard one
+            node, level = stack.pop()
             if level == len(routing):
                 return node
-            for key in (routing[level], WILDCARD):
+            for key in (WILDCARD, routing[level]):
                 child = node.children.get(key)
                 if child is not None:
-                    found = leaf(child, level + 1)
-                    if found is not None:
-                        return found
-            return None
-
-        node = self.root.get(len(tokens))
-        return None if node is None else leaf(node, 0)
+                    stack.append((child, level + 1))
+        return None
 
     def _descend_for_insert(self, tokens: Sequence[str]) -> _Node:
         node = self.root.setdefault(len(tokens), _Node())
@@ -404,20 +411,28 @@ def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = Non
 def attributes_for_corpus(
     corpus: Sequence[LogRecord], mining: MiningResult
 ) -> tuple[TokenSequence, ...]:
-    """Each record's tokens at its template's wildcard positions, aligned with corpus order."""
-    shapes = {t.id: (len(t.tokens), t.wildcard_positions) for t in mining.templates}
-    attribute_sets = []
-    for index, (rec, tid) in enumerate(zip(corpus, mining.assignment), start=1):
+    """Each record's tokens at its template's wildcard positions, aligned with corpus order.
+
+    Records of one masked sequence and template share one attribute tuple.
+    """
+    # Per template: its length, its wildcard positions and {sequence: attributes}.
+    shapes = {t.id: (len(t.tokens), t.wildcard_positions, {}) for t in mining.templates}
+    attribute_sets: list[TokenSequence] = []
+    for rec, tid in zip(corpus, mining.assignment):
         tokens = rec.tokens
-        if tokens is None:
-            raise ValueError(f"record {index} is not tokenized")
-        length, wildcards = shapes[tid]
-        if len(tokens) != length:
-            raise RuntimeError(
-                f"record {index} has {len(tokens)} tokens but template {tid} has "
-                f"{length}; the miner must keep lengths equal"
-            )
-        attribute_sets.append(tuple(map(tokens.__getitem__, wildcards)))
+        length, wildcards, seen = shapes[tid]
+        attrs = seen.get(tokens)
+        if attrs is None:
+            index = len(attribute_sets) + 1
+            if tokens is None:
+                raise ValueError(f"record {index} is not tokenized")
+            if len(tokens) != length:
+                raise RuntimeError(
+                    f"record {index} has {len(tokens)} tokens but template {tid} has "
+                    f"{length}; the miner must keep lengths equal"
+                )
+            attrs = seen[tokens] = tuple(map(tokens.__getitem__, wildcards))
+        attribute_sets.append(attrs)
     return tuple(attribute_sets)
 
 

@@ -144,13 +144,13 @@ def naive_attributes(tokens, template_tokens):
 
 
 def naive_signature(assignment, index, before, after):
-    """Set of template ids around 1-based `index`, walking indices one by one."""
+    """Distinct template ids around 1-based `index`, ascending, walking indices one by one."""
     ids = set()
     for j in range(index - before, index + after + 1):
         if j == index or j < 1 or j > len(assignment):
             continue
         ids.add(assignment[j - 1])
-    return frozenset(ids)
+    return tuple(sorted(ids))
 
 
 def brute_force_scores(

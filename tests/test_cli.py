@@ -257,6 +257,14 @@ def test_bad_thresholds_fail_cleanly(tmp_path, demo_log, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zero_denominator_threshold_fails_cleanly(tmp_path, demo_log, capsys):
+    rc, _ = run_analyze(tmp_path, demo_log, "--thresholds", "0.5,1/0")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: bad threshold '1/0'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [

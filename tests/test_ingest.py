@@ -99,6 +99,15 @@ def test_header_only_line_has_empty_content(tmp_path):
     assert corpus[0].content == ""
 
 
+def test_equal_contents_are_one_object(tmp_path):
+    path = tmp_path / "gen.log"
+    write_lines(path, ["- disk 7 full", "X disk 7 full", "- disk 8 full", "-   disk 7 full"])
+    corpus, _ = read_dataset(str(path))
+    assert corpus[0].content == corpus[1].content == corpus[3].content
+    assert corpus[0].content is corpus[1].content is corpus[3].content
+    assert corpus[2].content is not corpus[0].content
+
+
 def test_limit_caps_records_not_lines(tmp_path):
     path = tmp_path / "gen.log"
     write_lines(path, ["", "- one", "- two", "- three"])

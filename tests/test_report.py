@@ -50,6 +50,13 @@ def test_sweep_normalizes_floats_via_decimal_text():
     assert sweep.thresholds == (Fraction(7, 10), Fraction(1))
 
 
+@pytest.mark.parametrize("text", ["0.5,1/0", "0.5,half"])
+def test_parse_names_a_bad_entry(text):
+    bad = text.split(",")[1]
+    with pytest.raises(ValueError, match=f"bad threshold '{bad}'"):
+        ThresholdSweep.parse(text)
+
+
 def test_sweep_validation():
     with pytest.raises(ValueError):
         ThresholdSweep(())

@@ -6,7 +6,7 @@ from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.model import Label, LogRecord
 from logtaxon.scoring import CountTable, build_count_table, score_corpus
 
-NO_CONTEXT = frozenset()
+NO_CONTEXT = ()
 
 
 def labeled(*labels):
@@ -111,13 +111,13 @@ def test_attribute_scope_per_position_separates_slots():
 
 
 def test_context_score_all_anomalous():
-    sig = frozenset({1, 2})
+    sig = (1, 2)
     table = CountTable({1: (4, 0)}, {}, {sig: (4, 0)})
     assert score_one(table, signature=sig).context_score == Fraction(1)
 
 
 def test_context_score_mixed():
-    sig = frozenset({3})
+    sig = (3,)
     table = CountTable({1: (1, 3)}, {}, {sig: (1, 3)})
     assert score_one(table, signature=sig).context_score == Fraction(1, 4)
 
@@ -129,28 +129,28 @@ def test_inserted_message_gets_unique_context():
     corpus = labeled("N", "N", "N", "N", "A", "N", "N", "N", "N", "N")
     table, sigs, scores = scores_for(corpus, assignment, bounds=ContextBounds(before=2, after=1))
     expected = [
-        {2},
-        {1, 3},
-        {1, 2},
-        {2, 3, 4},
-        {1, 2, 3},
-        {1, 3, 4},
-        {1, 2, 4},
-        {2, 3},
-        {1, 3},
-        {1, 2},
+        (2,),
+        (1, 3),
+        (1, 2),
+        (2, 3, 4),
+        (1, 2, 3),
+        (1, 3, 4),
+        (1, 2, 4),
+        (2, 3),
+        (1, 3),
+        (1, 2),
     ]
-    assert [set(s) for s in sigs] == expected
+    assert list(sigs) == expected
     assert scores[5].context_score == Fraction(1)
     # The repeated rhythm signatures stay fully normal.
     assert scores[3].context_score == Fraction(0)
-    assert table.context_counts[frozenset({1, 2})] == (0, 2)
+    assert table.context_counts[(1, 2)] == (0, 2)
 
 
 def test_context_score_unknown_signature():
     table = CountTable({1: (1, 0)}, {}, {})
     with pytest.raises(KeyError):
-        score_one(table, signature=frozenset({1}))
+        score_one(table, signature=(1,))
 
 
 # --- whole-corpus scoring ------------------------------------------------------
@@ -190,10 +190,10 @@ def test_count_conservation():
 def test_build_count_table_checks_alignment():
     corpus = labeled("A", "N")
     with pytest.raises(ValueError):
-        build_count_table(corpus, [1], ((), ()), (frozenset(), frozenset()))
+        build_count_table(corpus, [1], ((), ()), ((), ()))
 
 
 def test_build_count_table_rejects_unknown_scope():
     corpus = labeled("A")
     with pytest.raises(ValueError):
-        build_count_table(corpus, [1], ((),), (frozenset(),), "per-template")
+        build_count_table(corpus, [1], ((),), ((),), "per-template")

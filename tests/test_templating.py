@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from logtaxon.templating import (
     MaskRule,
     MinerConfig,
     MiningResult,
+    Template,
     attributes_for_corpus,
     load_mask_rules,
     mine_templates,
@@ -107,6 +109,16 @@ def test_load_mask_rules_rejects_non_list(tmp_path):
         load_mask_rules(str(path))
 
 
+def test_equal_masked_sequences_share_one_tuple():
+    # Lines 1 and 2 are the same content; line 3 differs only in a number,
+    # so it masks to the same sequence; line 4 masks differently.
+    corpus = corpus_of("retry 17 of 255", "!retry 17 of 255", "retry 3 of 9", "retry of 9")
+    tokens = [rec.tokens for rec in corpus]
+    assert tokens[0] == ("retry", "<:NUM:>", "of", "<:NUM:>")
+    assert tokens[0] is tokens[1] is tokens[2]
+    assert tokens[3] == ("retry", "of", "<:NUM:>")
+
+
 # --- mining ----------------------------------------------------------------
 
 
@@ -129,6 +141,25 @@ def test_attribute_extraction_reads_wildcard_positions():
     mining = mine_templates(corpus)
     attrs = attributes_for_corpus(corpus, mining)
     assert attrs == (("mail", "wally001"), ("printer", "wally005"))
+
+
+def test_attribute_sets_are_one_tuple_per_sequence_and_template():
+    corpus = corpus_of(
+        "Start mail service at node wally001",
+        "Start printer service at node wally005",
+        "!Start mail service at node wally001",
+        "Start printer service at node wally005",
+    )
+    mining = mine_templates(corpus)
+    attrs = attributes_for_corpus(corpus, mining)
+    assert attrs == (("mail", "wally001"), ("printer", "wally005")) * 2
+    assert attrs[0] is attrs[2] and attrs[1] is attrs[3]
+    # One sequence on two templates gives two tuples, one per template.
+    tpl = mining.templates[0]
+    split = MiningResult((tpl, Template(2, tpl.tokens)), (1, 1, 2, 1))
+    attrs = attributes_for_corpus(corpus, split)
+    assert attrs[0] == attrs[2] and attrs[0] is not attrs[2]
+    assert attrs[1] is attrs[3]
 
 
 def test_dissimilar_messages_split_templates():
@@ -294,6 +325,20 @@ def test_backtracking_tries_the_literal_branch_first():
     templates, assignment = naive_mine([rec.tokens for rec in corpus], depth=6)
     assert [t.tokens for t in mining.templates] == templates
     assert mining.assignment == assignment
+
+
+def test_backtracking_leaves_no_cyclic_garbage():
+    # Mining must leave no reference cycle behind, such as a self-referencing
+    # closure per pass-2 descent: only the cyclic collector could free it.
+    corpus = corpus_of("x1 c d z", "b c d z", "b x2 d y", "b c e z")
+    gc.collect()
+    gc.disable()
+    try:
+        mining = mine_templates(corpus, MinerConfig(tree_depth=6))
+        del mining
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_mining_requires_tokens():
