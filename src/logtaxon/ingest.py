@@ -60,7 +60,7 @@ def _decoded(raw: io.BufferedReader) -> IO[str]:
     `peek` leaves the magic bytes in place, so a pipe is read once and loses nothing.
     """
     stream = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
-    return io.TextIOWrapper(stream, encoding="utf-8", errors="replace")
+    return io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace")
 
 
 def read_dataset(

@@ -23,12 +23,16 @@ from .scoring import CountTable, ScoreTriple
 REPORT_SCHEMA_VERSION = 1
 
 
-def _as_fraction(value: float | str | int | Fraction) -> Fraction:
+def _as_threshold(value: float | str | int | Fraction) -> Fraction:
+    """The value as an exact rational, checked to lie within (0, 1]."""
     # Fraction(str(0.7)) == 7/10, while Fraction(0.7) would be the binary float.
     try:
-        return Fraction(str(value) if isinstance(value, float) else value)
+        t = Fraction(str(value) if isinstance(value, float) else value)
     except (ValueError, ZeroDivisionError):  # "1/0" raises the latter
         raise ValueError(f"bad threshold {value!r}") from None
+    if not 0 < t <= 1:
+        raise ValueError(f"threshold {t} outside (0, 1]")
+    return t
 
 
 DEFAULT_THRESHOLDS: tuple[Fraction, ...] = (
@@ -47,13 +51,10 @@ class ThresholdSweep:
     thresholds: tuple[Fraction, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
-        values = tuple(_as_fraction(t) for t in self.thresholds)
+        values = tuple(map(_as_threshold, self.thresholds))
         object.__setattr__(self, "thresholds", values)
         if not values:
             raise ValueError("at least one threshold is required")
-        for t in values:
-            if not 0 < t <= 1:
-                raise ValueError(f"threshold {t} outside (0, 1]")
         if any(a >= b for a, b in zip(values, values[1:])):
             raise ValueError("thresholds must be strictly increasing")
 
@@ -68,9 +69,7 @@ class ThresholdSweep:
 
 def classify(score: ScoreTriple, threshold: Fraction | float | str) -> frozenset[AnomalyKind]:
     """Taxonomy classes whose score reaches the threshold; empty set = outside taxonomy."""
-    t = _as_fraction(threshold)
-    if not 0 < t <= 1:
-        raise ValueError(f"threshold {t} outside (0, 1]")
+    t = _as_threshold(threshold)
     kinds = set()
     if score.template_score >= t:
         kinds.add(AnomalyKind.TEMPLATE)
@@ -119,8 +118,10 @@ class ThresholdRow:
     unclassified: int
 
 
-def _percent(part: int, whole: int) -> float:
-    return 100.0 * part / whole if whole else 0.0
+def _shares(row: ThresholdRow, total: int) -> tuple[float, ...]:
+    """Percent of `total` messages per AnomalyKind, in declaration order, then unclassified."""
+    parts = [row.counts.get(kind, 0) for kind in AnomalyKind] + [row.unclassified]
+    return tuple(100.0 * part / total if total else 0.0 for part in parts)
 
 
 @dataclass(frozen=True)
@@ -131,12 +132,25 @@ class TaxonomyReport:
     rows: tuple[ThresholdRow, ...]
     config: Mapping[str, object] = field(default_factory=dict)
     source: Mapping[str, object] = field(default_factory=dict)
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
         total = self.stats.anomalous_messages
+        thresholds = []
+        for row in self.rows:
+            *kind_shares, unclassified_share = _shares(row, total)
+            thresholds.append(
+                {
+                    "threshold": str(row.threshold),
+                    "thresholdValue": float(row.threshold),
+                    "counts": {kind.value: row.counts.get(kind, 0) for kind in AnomalyKind},
+                    "percentages": dict(zip((kind.value for kind in AnomalyKind), kind_shares)),
+                    "classified": row.classified,
+                    "unclassified": row.unclassified,
+                    "unclassifiedPercentage": unclassified_share,
+                }
+            )
         return {
-            "schemaVersion": self.schema_version,
+            "schemaVersion": REPORT_SCHEMA_VERSION,
             "source": dict(self.source),
             "config": dict(self.config),
             "dataset": {
@@ -146,21 +160,7 @@ class TaxonomyReport:
                 "anomalousTemplates": self.stats.anomalous_templates,
                 "intersectionTemplates": self.stats.intersection_templates,
             },
-            "thresholds": [
-                {
-                    "threshold": str(row.threshold),
-                    "thresholdValue": float(row.threshold),
-                    "counts": {kind.value: row.counts.get(kind, 0) for kind in AnomalyKind},
-                    "percentages": {
-                        kind.value: _percent(row.counts.get(kind, 0), total)
-                        for kind in AnomalyKind
-                    },
-                    "classified": row.classified,
-                    "unclassified": row.unclassified,
-                    "unclassifiedPercentage": _percent(row.unclassified, total),
-                }
-                for row in self.rows
-            ],
+            "thresholds": thresholds,
         }
 
     def to_json(self) -> str:
@@ -170,20 +170,12 @@ class TaxonomyReport:
         """Percentage matrix, one row per threshold — plots straight into a figure."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["threshold", "template_pct", "attribute_pct", "contextual_pct", "unclassified_pct"]
-        )
+        kinds = [f"{kind.value}_pct" for kind in AnomalyKind]
+        writer.writerow(["threshold", *kinds, "unclassified_pct"])
         total = self.stats.anomalous_messages
         for row in self.rows:
-            writer.writerow(
-                [
-                    f"{float(row.threshold):g}",
-                    f"{_percent(row.counts.get(AnomalyKind.TEMPLATE, 0), total):.6f}",
-                    f"{_percent(row.counts.get(AnomalyKind.ATTRIBUTE, 0), total):.6f}",
-                    f"{_percent(row.counts.get(AnomalyKind.CONTEXTUAL, 0), total):.6f}",
-                    f"{_percent(row.unclassified, total):.6f}",
-                ]
-            )
+            shares = _shares(row, total)
+            writer.writerow([f"{float(row.threshold):g}", *(f"{p:.6f}" for p in shares)])
         return buf.getvalue()
 
     def to_text(self) -> str:
@@ -195,17 +187,17 @@ class TaxonomyReport:
             f"templates: {s.normal_templates} normal, {s.anomalous_templates} anomalous, "
             f"{s.intersection_templates} shared",
             "",
-            f"{'threshold':>9}  {'template':>10}  {'attribute':>10}  "
-            f"{'contextual':>10}  {'unclassified':>12}",
+            f"{'threshold':>9}  "
+            + "".join(f"{kind.value:>10}  " for kind in AnomalyKind)
+            + f"{'unclassified':>12}",
         ]
         total = s.anomalous_messages
         for row in self.rows:
+            *kind_shares, unclassified_share = _shares(row, total)
             lines.append(
                 f"{float(row.threshold):>9g}  "
-                f"{_percent(row.counts.get(AnomalyKind.TEMPLATE, 0), total):>9.2f}%  "
-                f"{_percent(row.counts.get(AnomalyKind.ATTRIBUTE, 0), total):>9.2f}%  "
-                f"{_percent(row.counts.get(AnomalyKind.CONTEXTUAL, 0), total):>9.2f}%  "
-                f"{_percent(row.unclassified, total):>11.2f}%"
+                + "".join(f"{p:>9.2f}%  " for p in kind_shares)
+                + f"{unclassified_share:>11.2f}%"
             )
         return "\n".join(lines) + "\n"
 

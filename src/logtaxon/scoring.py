@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Literal, Mapping, Sequence
 
 from .context import ContextSignature
@@ -78,19 +79,17 @@ def build_count_table(
 
     Counting is per occurrence: a token repeated in one message's attribute
     set contributes once per repetition, and every message contributes one
-    observation of its template and of its signature.
+    observation of its template and of its signature. Raises ValueError when
+    the four sequences differ in length.
     """
     if attribute_scope not in ("global", "per-position"):
         raise ValueError(f"unknown attribute scope {attribute_scope!r}")
-    n = len(corpus)
-    if not (len(assignment) == len(attribute_sets) == len(signatures) == n):
-        raise ValueError("assignment, attribute sets, and signatures must align with the corpus")
 
     template_counts: dict[int, CountPair] = {}
     attribute_counts: dict[object, CountPair] = {}
     context_counts: dict[ContextSignature, CountPair] = {}
     table = CountTable(template_counts, attribute_counts, context_counts, attribute_scope)
-    for rec, tid, attrs, sig in zip(corpus, assignment, attribute_sets, signatures):
+    for rec, tid, attrs, sig in zip(corpus, assignment, attribute_sets, signatures, strict=True):
         anomalous = rec.label is Label.ANOMALOUS
         _bump(template_counts, tid, anomalous)
         _bump(context_counts, sig, anomalous)
@@ -116,35 +115,24 @@ def score_corpus(
 
     Each score is the anomalous share of its key's occurrences in the table;
     the attribute score is the maximum over the message's attribute tokens,
-    or None when it has none. Inputs repeat heavily (few templates, few
-    signatures, recurring attribute sets), so each distinct key is scored
-    once and reused.
+    or None when it has none. Raises ValueError when the four sequences
+    differ in length. Keys repeat heavily and share few distinct count
+    pairs, so each pair becomes one Fraction that every score with it shares.
     """
-    per_position = table.attribute_scope == "per-position"
-    tpl_cache: dict[int, Fraction] = {}
-    ctx_cache: dict[ContextSignature, Fraction] = {}
-    attr_cache: dict[object, Fraction | None] = {}
-    scores: dict[int, ScoreTriple] = {}
-    rows = zip(corpus, assignment, attribute_sets, signatures)
-    for index, (rec, tid, attrs, sig) in enumerate(rows, start=1):
-        if not include_normal and rec.label is not Label.ANOMALOUS:
-            continue
-        t_score = tpl_cache.get(tid)
-        if t_score is None:
-            t_score = tpl_cache[tid] = _fraction(table.template_counts[tid])
-        attr_key = (tid, attrs) if per_position else attrs
-        if attr_key in attr_cache:
-            a_score = attr_cache[attr_key]
-        else:
-            a_score = attr_cache[attr_key] = max(
-                (
-                    _fraction(table.attribute_counts[table.attribute_key(tid, slot, token)])
-                    for slot, token in enumerate(attrs)
-                ),
-                default=None,
-            )
-        c_score = ctx_cache.get(sig)
-        if c_score is None:
-            c_score = ctx_cache[sig] = _fraction(table.context_counts[sig])
-        scores[index] = ScoreTriple(t_score, a_score, c_score)
-    return scores
+    fraction = cache(_fraction)
+
+    @cache
+    def attribute_score(tid: int, attrs: TokenSequence) -> Fraction | None:
+        keys = (table.attribute_key(tid, slot, token) for slot, token in enumerate(attrs))
+        return max((fraction(table.attribute_counts[key]) for key in keys), default=None)
+
+    rows = zip(corpus, assignment, attribute_sets, signatures, strict=True)
+    return {
+        index: ScoreTriple(
+            fraction(table.template_counts[tid]),
+            attribute_score(tid, attrs),
+            fraction(table.context_counts[sig]),
+        )
+        for index, (rec, tid, attrs, sig) in enumerate(rows, start=1)
+        if include_normal or rec.label is Label.ANOMALOUS
+    }

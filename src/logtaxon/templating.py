@@ -414,11 +414,12 @@ def attributes_for_corpus(
     """Each record's tokens at its template's wildcard positions, aligned with corpus order.
 
     Records of one masked sequence and template share one attribute tuple.
+    Raises ValueError when the assignment and the corpus differ in length.
     """
     # Per template: its length, its wildcard positions and {sequence: attributes}.
     shapes = {t.id: (len(t.tokens), t.wildcard_positions, {}) for t in mining.templates}
     attribute_sets: list[TokenSequence] = []
-    for rec, tid in zip(corpus, mining.assignment):
+    for rec, tid in zip(corpus, mining.assignment, strict=True):
         tokens = rec.tokens
         length, wildcards, seen = shapes[tid]
         attrs = seen.get(tokens)

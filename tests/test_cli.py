@@ -1,5 +1,6 @@
 import gzip
 import json
+import os
 import subprocess
 import sys
 
@@ -103,10 +104,21 @@ def test_score_normal_expands_the_dump(tmp_path, demo_log):
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, demo_log):
-    _, first = run_analyze(tmp_path, demo_log, "--dump-scores")
+    extra = ["--dump-scores", "--dump-contexts", "--attribute-scope", "per-position"]
+    _, first = run_analyze(tmp_path, demo_log, *extra)
+    # The second run is another process under another hash seed, so no
+    # artifact may depend on set or dict order that string hashing decides.
     out2 = tmp_path / "second"
-    main(["analyze", "--input", str(demo_log), "--out-dir", str(out2), "--dump-scores"])
-    for name in ["report.json", "report.csv", "templates.json", "scores.csv"]:
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    argv = ["analyze", "--input", str(demo_log), "--out-dir", str(out2), *extra]
+    proc = subprocess.run(
+        [sys.executable, "-m", "logtaxon.cli", *argv],
+        env={**os.environ, "PYTHONHASHSEED": seed},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in ["report.json", "report.csv", "templates.json", "scores.csv", "contexts.csv"]:
         assert (first / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -82,6 +82,16 @@ def test_gzip_input_leaves_no_file_open(tmp_path):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+def test_leading_byte_order_mark_is_dropped(tmp_path, compressed):
+    data = "\ufeff- all fine\nFAIL broke\n".encode("utf-8")
+    path = tmp_path / "bom.log"
+    path.write_bytes(gzip.compress(data, mtime=0) if compressed else data)
+    corpus, _ = read_dataset(str(path))
+    assert [rec.label for rec in corpus] == [Label.NORMAL, Label.ANOMALOUS]
+    assert corpus[0].content == "all fine"
+
+
 def test_malformed_lines_are_skipped_and_counted(tmp_path):
     path = tmp_path / "bgl.log"
     write_lines(path, [BGL_NORMAL, "", "too short", BGL_ALERT])

@@ -5,6 +5,7 @@ import pytest
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.model import Label, LogRecord
 from logtaxon.scoring import CountTable, build_count_table, score_corpus
+from logtaxon.templating import MiningResult, Template, attributes_for_corpus
 
 NO_CONTEXT = ()
 
@@ -187,10 +188,21 @@ def test_count_conservation():
     assert anom == sum(rec.label is Label.ANOMALOUS for rec in corpus)
 
 
-def test_build_count_table_checks_alignment():
-    corpus = labeled("A", "N")
+# Each stage is given two records but a one-entry assignment.
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda corpus: build_count_table(corpus, [1], ((), ()), ((), ())),
+        lambda corpus: score_corpus(
+            corpus, CountTable({1: (1, 1)}, {}, {(): (1, 1)}), [1], ((), ()), ((), ())
+        ),
+        lambda corpus: attributes_for_corpus(corpus, MiningResult((Template(1, ()),), (1,))),
+    ],
+    ids=["build_count_table", "score_corpus", "attributes_for_corpus"],
+)
+def test_stages_check_alignment(stage):
     with pytest.raises(ValueError):
-        build_count_table(corpus, [1], ((), ()), ((), ()))
+        stage(labeled("A", "N"))
 
 
 def test_build_count_table_rejects_unknown_scope():
