@@ -60,7 +60,7 @@ def _decoded(raw: io.BufferedReader) -> IO[str]:
     `peek` leaves the magic bytes in place, so a pipe is read once and loses nothing.
     """
     stream = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
-    return io.TextIOWrapper(stream, encoding="utf-8-sig", errors="replace")
+    return io.TextIOWrapper(stream, encoding="utf-8", errors="replace")
 
 
 def read_dataset(
@@ -71,7 +71,9 @@ def read_dataset(
     """Parse a dataset file into a corpus, skipping (and counting) malformed lines.
 
     A line is malformed when it has fewer fields than the header needs. Blank
-    lines count as malformed too. `limit` caps the number of parsed records,
+    lines count as malformed too. A byte-order mark at the start of any line
+    is dropped, as concatenated files leave one per file, so a line holding
+    only a mark is blank. `limit` caps the number of parsed records,
     not raw lines, and must be at least 1. Raises ValueError("empty corpus")
     when nothing parses, and names the file in a ValueError when gzip input
     is truncated or corrupt. Equal contents share one string, whose hash
@@ -87,7 +89,7 @@ def read_dataset(
         try:
             for line in fh:
                 lines_read += 1
-                parts = line.split(maxsplit=format.header_fields)
+                parts = line.lstrip("\ufeff").split(maxsplit=format.header_fields)
                 if len(parts) < format.header_fields:
                     malformed += 1
                     continue
@@ -226,18 +228,12 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[tuple[LogRecord, ...], dict
         step += 1
         if kinds and rng.random() < spec.anomaly_rate:
             kind = rng.choice(kinds)
-            if kind is AnomalyKind.TEMPLATE:
-                tpl = rng.choice(spec.anomaly_templates)
-                emit(Label.ANOMALOUS, _fill(tpl, spec.pools, rng, False), kind)
+            attribute = kind is AnomalyKind.ATTRIBUTE
+            tpl = rng.choice(attribute_templates if attribute else spec.anomaly_templates)
+            emit(Label.ANOMALOUS, _fill(tpl, spec.pools, rng, attribute), kind)
+            # A contextual anomaly is an off-schedule extra message interrupting
+            # the rhythm; the others replace the scheduled one.
+            if kind is not AnomalyKind.CONTEXTUAL or len(records) >= spec.length:
                 continue
-            if kind is AnomalyKind.ATTRIBUTE:
-                tpl = rng.choice(attribute_templates)
-                emit(Label.ANOMALOUS, _fill(tpl, spec.pools, rng, True), kind)
-                continue
-            # Contextual: an off-schedule extra message interrupting the rhythm.
-            tpl = rng.choice(spec.anomaly_templates)
-            emit(Label.ANOMALOUS, _fill(tpl, spec.pools, rng, False), kind)
-            if len(records) >= spec.length:
-                break
         emit(Label.NORMAL, _fill(scheduled, spec.pools, rng, False))
     return tuple(records), truth

@@ -1,7 +1,7 @@
 """Tokenization, masking, and fixed-depth prefix-tree template mining.
 
 The miner clusters equal-length token sequences under a shallow routing tree
-(root -> sequence length -> leading tokens -> cluster list) and merges a
+(root -> sequence length -> leading tokens -> template ids) and merges a
 message into the best cluster when the literal-token overlap ratio reaches a
 configurable threshold. Mining runs in two passes: pass 1 grows and refines
 clusters online, pass 2 re-assigns every message against the frozen forest so
@@ -181,7 +181,6 @@ class MinerConfig:
 class Template:
     """A mined token pattern; wildcard positions hold WILDCARD ("*")."""
 
-    id: int
     tokens: TokenSequence
 
     @property
@@ -193,43 +192,37 @@ class Template:
         return tuple(i for i, tok in enumerate(self.tokens) if tok == WILDCARD)
 
 
-class _Cluster:
-    __slots__ = ("id", "tokens")
-
-    def __init__(self, cluster_id: int, tokens: list[str]):
-        self.id = cluster_id
-        self.tokens = tokens
-
-
 class _Node:
-    """A routing node; a leaf also holds its clusters and an index over them.
+    """A routing node; a leaf also holds its templates' ids and an index over them.
 
-    A cluster's slot is its position in `clusters`, the leaf's creation order.
-    `postings[i]` maps a literal token to the slots of the clusters whose
-    template holds it at position i, and `wildcards[slot]` counts that
-    cluster's wildcard positions.
+    A template's slot is its position in `ids`, the leaf's creation order.
+    `postings[i]` maps a literal token to the slots of the templates that
+    hold it at position i, and `wildcards[slot]` counts that template's
+    wildcard positions.
     """
 
-    __slots__ = ("children", "clusters", "postings", "wildcards")
+    __slots__ = ("children", "ids", "postings", "wildcards")
 
     def __init__(self) -> None:
         self.children: dict[object, _Node] = {}
-        self.clusters: list[_Cluster] = []
+        self.ids: list[int] = []
         self.postings: list[dict[str, list[int]]] = []
         self.wildcards: list[int] = []
 
 
 class _Forest:
-    """Length-partitioned routing tree holding template clusters at its leaves.
+    """Length-partitioned routing tree holding template ids at its leaves.
 
-    `epoch` moves whenever a cluster is created or a token refined to a
-    wildcard; pass 1 memoizes each sequence's cluster under the epoch it left.
+    `templates` holds every template's tokens, which pass 1 refines in
+    place; a template's id is its position plus one. `epoch` moves whenever
+    a template is created or a token refined to a wildcard; pass 1 memoizes
+    each sequence's template id under the epoch it left.
     """
 
     def __init__(self, config: MinerConfig):
         self.config = config
         self.root: dict[int, _Node] = {}
-        self.clusters: list[_Cluster] = []
+        self.templates: list[list[str]] = []
         self.epoch = 0
         self.memo: dict[TokenSequence, tuple[int, int]] = {}
 
@@ -294,13 +287,13 @@ class _Forest:
 
     @staticmethod
     def _best_match(leaf: _Node, tokens: Sequence[str]) -> tuple[int, int]:
-        """Slot of the leaf's best cluster for a message, and its literal hits.
+        """Slot of the leaf's best template for a message, and its literal hits.
 
-        Clusters rank by (literal hits, wildcards), the first slot on ties.
+        Templates rank by (literal hits, wildcards), the first slot on ties.
         Every template in a leaf has the message's length, so this is the
-        order of the hit ratio. Only clusters sharing a literal token with
+        order of the hit ratio. Only templates sharing a literal token with
         the message are counted; the others score (0, wildcards) and win
-        only when no cluster has a hit. A literal "*" in a message is never a
+        only when no template has a hit. A literal "*" in a message is never a
         hit, since the postings hold no wildcard.
         """
         hits = Counter(chain.from_iterable(p.get(t, ()) for p, t in zip(leaf.postings, tokens)))
@@ -310,26 +303,25 @@ class _Forest:
         slot = max(hits, key=lambda s: (hits[s], wildcards[s], -s))
         return slot, hits[slot]
 
-    def _new_cluster(self, tokens: Sequence[str]) -> _Cluster:
+    def _new_template(self, tokens: Sequence[str]) -> int:
         leaf = self._descend_for_insert(tokens)
-        if not leaf.clusters:
+        if not leaf.ids:
             leaf.postings = [{} for _ in tokens]
-        slot = len(leaf.clusters)
+        slot = len(leaf.ids)
         for posting, token in zip(leaf.postings, tokens):
             if token != WILDCARD:
                 posting.setdefault(token, []).append(slot)
         leaf.wildcards.append(tokens.count(WILDCARD))
-        cluster = _Cluster(len(self.clusters) + 1, list(tokens))
-        self.clusters.append(cluster)
-        leaf.clusters.append(cluster)
+        self.templates.append(list(tokens))
+        leaf.ids.append(len(self.templates))
         self.epoch += 1
-        return cluster
+        return len(self.templates)
 
     def learn(self, tokens: TokenSequence) -> int:
-        """Pass-1 step: match-or-create a cluster and refine its template.
+        """Pass-1 step: match-or-create a template and refine it.
 
         A sequence learned before at the current epoch gets its stored id:
-        the forest is as that call left it, its cluster holding the sequence
+        the forest is as that call left it, its template holding the sequence
         at every literal position, so the full step would pick it and change nothing.
         """
         seen = self.memo.get(tokens)
@@ -338,26 +330,27 @@ class _Forest:
         leaf = self._descend(tokens)
         slot, hits = self._best_match(leaf, tokens) if leaf is not None else (0, -1)
         if hits >= 0 and self._meets_threshold(hits, tokens):
-            cluster = leaf.clusters[slot]
-            for i, (t, w) in enumerate(zip(cluster.tokens, tokens)):
+            tid = leaf.ids[slot]
+            template = self.templates[tid - 1]
+            for i, (t, w) in enumerate(zip(template, tokens)):
                 if t != WILDCARD and t != w:
-                    cluster.tokens[i] = WILDCARD
+                    template[i] = WILDCARD
                     leaf.postings[i][t].remove(slot)
                     leaf.wildcards[slot] += 1
                     self.epoch += 1
         else:
-            cluster = self._new_cluster(tokens)
+            tid = self._new_template(tokens)
             hits = len(tokens) - tokens.count(WILDCARD)
-        # A cluster made from literal "*" tokens can miss the threshold
-        # against its own message, whose next copy then makes another cluster.
+        # A template made from literal "*" tokens can miss the threshold
+        # against its own message, whose next copy then makes another template.
         if self._meets_threshold(hits, tokens):
-            self.memo[tokens] = (self.epoch, cluster.id)
-        return cluster.id
+            self.memo[tokens] = (self.epoch, tid)
+        return tid
 
     def assign(self, tokens: Sequence[str]) -> int:
-        """Pass-2 step: pick a cluster from the frozen forest for a message.
+        """Pass-2 step: pick a template id from the frozen forest for a message.
 
-        Takes the best leaf cluster even below the threshold (possible once a
+        Takes the best leaf template even below the threshold (possible once a
         template has gained wildcards after the message was first seen), so
         assignment is total for mined corpora.
         """
@@ -368,23 +361,18 @@ class _Forest:
                 "the forest was mined from a different corpus"
             )
         slot, _ = self._best_match(leaf, tokens)
-        return leaf.clusters[slot].id
+        return leaf.ids[slot]
 
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Frozen templates plus the per-record assignment, aligned with corpus order."""
+    """Frozen templates plus the per-record template id, aligned with corpus order.
+
+    Template id `tid` names `templates[tid - 1]`.
+    """
 
     templates: tuple[Template, ...]
     assignment: tuple[int, ...]
-
-    def template(self, template_id: int) -> Template:
-        """The template with this id; KeyError when the result holds none."""
-        if 1 <= template_id <= len(self.templates):
-            tpl = self.templates[template_id - 1]
-            if tpl.id == template_id:
-                return tpl
-        raise KeyError(f"no template with id {template_id}")
 
 
 def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = None) -> MiningResult:
@@ -404,7 +392,7 @@ def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = Non
     # The forest is frozen now, so every copy of a sequence gets the same id.
     ids = {tokens: forest.assign(tokens) for tokens in dict.fromkeys(token_lists)}
     assignment = tuple(map(ids.__getitem__, token_lists))
-    templates = tuple(Template(c.id, tuple(intern(t) for t in c.tokens)) for c in forest.clusters)
+    templates = tuple(Template(tuple(map(intern, tokens))) for tokens in forest.templates)
     return MiningResult(templates, assignment)
 
 
@@ -416,8 +404,10 @@ def attributes_for_corpus(
     Records of one masked sequence and template share one attribute tuple.
     Raises ValueError when the assignment and the corpus differ in length.
     """
-    # Per template: its length, its wildcard positions and {sequence: attributes}.
-    shapes = {t.id: (len(t.tokens), t.wildcard_positions, {}) for t in mining.templates}
+    # Per template id: its length, wildcard positions and {sequence: attributes};
+    # a dict, so that an id outside 1..len(templates) raises KeyError.
+    templates = enumerate(mining.templates, start=1)
+    shapes = {tid: (len(t.tokens), t.wildcard_positions, {}) for tid, t in templates}
     attribute_sets: list[TokenSequence] = []
     for rec, tid in zip(corpus, mining.assignment, strict=True):
         tokens = rec.tokens
@@ -447,11 +437,11 @@ def save_forest(mining: MiningResult, counts: Mapping[int, tuple[int, int]], pat
     assigned to in pass 2 has no entry and is written with zero members.
     """
     entries = []
-    for t in mining.templates:
-        anomalous, normal = counts.get(t.id, (0, 0))
+    for tid, t in enumerate(mining.templates, start=1):
+        anomalous, normal = counts.get(tid, (0, 0))
         entries.append(
             {
-                "id": t.id,
+                "id": tid,
                 "tokens": list(t.tokens),
                 "anomalousCount": anomalous,
                 "normalCount": normal,

@@ -168,7 +168,7 @@ def brute_force_scores(
     miner (checked on its own against naive_mine); the three scores are
     recomputed independently.
     """
-    template_tokens = {t.id: t.tokens for t in templates}
+    template_tokens = {tid: t.tokens for tid, t in enumerate(templates, start=1)}
     n = len(corpus)
 
     attrs = []

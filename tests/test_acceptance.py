@@ -276,7 +276,7 @@ def test_criterion_4_spirit():
     top_two = sorted(counts.values(), reverse=True)[:2]
     cover = 100.0 * sum(top_two) / anomalous if anomalous else 0.0
     texts = {
-        analysis.mining.template(tid).text
+        analysis.mining.templates[tid - 1].text
         for tid, c in counts.items()
         if c in top_two and c > 0
     }

@@ -181,6 +181,22 @@ def test_bgl_preset_flag(tmp_path):
     assert doc["dataset"]["anomalousMessages"] == 1
 
 
+def test_layout_override_flags(tmp_path):
+    # Node name first, label second: neither header field is content.
+    src = tmp_path / "custom.log"
+    src.write_text("n1 OK a b\nn2 FAIL a c\nn3 OK a d\n")
+    out_dir = tmp_path / "out"
+    layout = ["--header-fields", "2", "--label-field", "1", "--normal-token", "OK"]
+    rc = main(["analyze", "--input", str(src), "--out-dir", str(out_dir), *layout])
+    assert rc == 0
+    doc = json.loads((out_dir / "report.json").read_text())
+    assert (doc["dataset"]["normalMessages"], doc["dataset"]["anomalousMessages"]) == (2, 1)
+    forest = json.loads((out_dir / "templates.json").read_text())
+    assert [(t["tokens"], t["anomalousCount"], t["normalCount"]) for t in forest["templates"]] == [
+        (["a", "*"], 1, 2)
+    ]
+
+
 def test_limit_flag(tmp_path, demo_log):
     _, out_dir = run_analyze(tmp_path, demo_log, "--limit", "50")
     doc = json.loads((out_dir / "report.json").read_text())

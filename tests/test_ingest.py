@@ -8,6 +8,7 @@ from logtaxon.ingest import (
     PRESETS,
     AttributePool,
     DatasetFormat,
+    IngestSummary,
     SyntheticSpec,
     generate_synthetic,
     read_dataset,
@@ -84,12 +85,20 @@ def test_gzip_input_leaves_no_file_open(tmp_path):
 
 @pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
 def test_leading_byte_order_mark_is_dropped(tmp_path, compressed):
-    data = "\ufeff- all fine\nFAIL broke\n".encode("utf-8")
+    # The first line's mark, a mid-stream one as `cat a.log b.log` leaves
+    # it, and a line holding only a mark.
+    data = "\ufeff- all fine\nFAIL broke\n\ufeff- a b\n\ufeff\n- end\n".encode("utf-8")
     path = tmp_path / "bom.log"
     path.write_bytes(gzip.compress(data, mtime=0) if compressed else data)
-    corpus, _ = read_dataset(str(path))
-    assert [rec.label for rec in corpus] == [Label.NORMAL, Label.ANOMALOUS]
-    assert corpus[0].content == "all fine"
+    corpus, summary = read_dataset(str(path))
+    assert [rec.label for rec in corpus] == [
+        Label.NORMAL,
+        Label.ANOMALOUS,
+        Label.NORMAL,
+        Label.NORMAL,
+    ]
+    assert [rec.content for rec in corpus] == ["all fine", "broke", "a b", "end"]
+    assert summary == IngestSummary(lines_read=5, malformed_skipped=1)
 
 
 def test_malformed_lines_are_skipped_and_counted(tmp_path):
@@ -208,6 +217,13 @@ def test_synthetic_length_and_truth_alignment():
     assert len(corpus) == 300
     assert set(truth) == {i for i, r in enumerate(corpus, start=1) if r.label is Label.ANOMALOUS}
     assert all(kind in AnomalyKind for kind in truth.values())
+    # A contextual anomaly inserted as the last record must end the corpus
+    # there, not be followed by its scheduled message.
+    for length in (1, 2, 3, 5):
+        for seed in range(20):
+            corpus, truth = generate_synthetic(demo_spec(length=length, anomaly_rate=0.9, seed=seed))
+            assert len(corpus) == length
+            assert set(truth) <= set(range(1, length + 1))
 
 
 def test_synthetic_zero_rate_is_all_normal():

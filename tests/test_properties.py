@@ -80,10 +80,9 @@ def test_mining_assigns_every_record_a_valid_template(lines):
     corpus = corpus_from(lines)
     mining = mine_templates(corpus)
     assert len(mining.assignment) == len(corpus)
-    ids = {t.id for t in mining.templates}
-    assert set(mining.assignment) <= ids
+    assert set(mining.assignment) <= set(range(1, len(mining.templates) + 1))
     for rec, tid in zip(corpus, mining.assignment):
-        assert len(mining.template(tid).tokens) == len(rec.tokens)
+        assert len(mining.templates[tid - 1].tokens) == len(rec.tokens)
 
 
 @settings(max_examples=200, deadline=None)
@@ -92,7 +91,7 @@ def test_mining_never_raises_at_any_tree_shape(lines, depth, max_children):
     corpus = corpus_from(lines)
     mining = mine_templates(corpus, MinerConfig(tree_depth=depth, max_children=max_children))
     for rec, tid in zip(corpus, mining.assignment):
-        assert len(mining.template(tid).tokens) == len(rec.tokens)
+        assert len(mining.templates[tid - 1].tokens) == len(rec.tokens)
 
 
 def pre_tokenized(token_lists):

@@ -196,7 +196,7 @@ def test_count_conservation():
         lambda corpus: score_corpus(
             corpus, CountTable({1: (1, 1)}, {}, {(): (1, 1)}), [1], ((), ()), ((), ())
         ),
-        lambda corpus: attributes_for_corpus(corpus, MiningResult((Template(1, ()),), (1,))),
+        lambda corpus: attributes_for_corpus(corpus, MiningResult((Template(()),), (1,))),
     ],
     ids=["build_count_table", "score_corpus", "attributes_for_corpus"],
 )

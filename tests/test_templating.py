@@ -156,7 +156,7 @@ def test_attribute_sets_are_one_tuple_per_sequence_and_template():
     assert attrs[0] is attrs[2] and attrs[1] is attrs[3]
     # One sequence on two templates gives two tuples, one per template.
     tpl = mining.templates[0]
-    split = MiningResult((tpl, Template(2, tpl.tokens)), (1, 1, 2, 1))
+    split = MiningResult((tpl, Template(tpl.tokens)), (1, 1, 2, 1))
     attrs = attributes_for_corpus(corpus, split)
     assert attrs[0] == attrs[2] and attrs[0] is not attrs[2]
     assert attrs[1] is attrs[3]
@@ -206,7 +206,7 @@ def test_empty_content_messages_cluster_together():
     mining = mine_templates(corpus)
     assert mining.assignment[0] == mining.assignment[1]
     assert mining.assignment[2] != mining.assignment[0]
-    assert mining.template(mining.assignment[0]).tokens == ()
+    assert mining.templates[mining.assignment[0] - 1].tokens == ()
 
 
 def test_similarity_threshold_controls_merging():
@@ -286,15 +286,6 @@ def test_repeated_lines_match_the_reference_miner(lines, config, expected, assig
     assert ([t.tokens for t in mining.templates], mining.assignment) == reference
 
 
-def test_template_ids_are_dense_and_one_based():
-    corpus = corpus_of("a b", "c d", "e f g")
-    mining = mine_templates(corpus)
-    assert [t.id for t in mining.templates] == list(range(1, len(mining.templates) + 1))
-    for missing in (0, len(mining.templates) + 1):
-        with pytest.raises(KeyError):
-            mining.template(missing)
-
-
 def test_deeper_tree_routes_on_more_tokens():
     # depth 4 routes on one token, depth 5 on two: the second token then
     # separates otherwise-similar messages.
@@ -356,6 +347,17 @@ def test_extract_attributes_checks_length():
         attributes_for_corpus(corpus, misassigned)
 
 
+def test_attributes_reject_an_id_outside_the_templates():
+    # Ids are 1-based positions: neither 0 nor one past the end may wrap
+    # around to a template at the other end of the tuple.
+    corpus = corpus_of("a b", "c d e")
+    mining = mine_templates(corpus)
+    assert len(mining.templates) == 2
+    for tid in (0, len(mining.templates) + 1):
+        with pytest.raises(KeyError):
+            attributes_for_corpus(corpus[:1], MiningResult(mining.templates, (tid,)))
+
+
 def test_miner_config_validation():
     with pytest.raises(ValueError):
         MinerConfig(tree_depth=1)
@@ -390,7 +392,7 @@ def test_forest_round_trip(tmp_path):
     assert doc["schemaVersion"] == 1
     entries = doc["templates"]
     assert [(e["id"], tuple(e["tokens"])) for e in entries] == [
-        (t.id, t.tokens) for t in mining.templates
+        (tid, t.tokens) for tid, t in enumerate(mining.templates, start=1)
     ]
     by_text = {" ".join(e["tokens"]): (e["anomalousCount"], e["normalCount"]) for e in entries}
     assert by_text["Start * service at node *"] == (1, 1)  # (anomalous, normal)
