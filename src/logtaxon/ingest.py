@@ -54,12 +54,32 @@ class IngestSummary:
     malformed_skipped: int
 
 
+class _Replayed(io.RawIOBase):
+    """`head`, already read from `rest`, then what `rest` still holds."""
+
+    def __init__(self, head: bytes, rest: io.BufferedReader):
+        self._head, self._rest = head, rest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if not self._head:
+            return self._rest.readinto1(buffer)
+        n = min(len(buffer), len(self._head))
+        buffer[:n], self._head = self._head[:n], self._head[n:]
+        return n
+
+
 def _decoded(raw: io.BufferedReader) -> IO[str]:
     """Text of an open binary file, gunzipped when it starts with the gzip magic bytes.
 
-    `peek` leaves the magic bytes in place, so a pipe is read once and loses nothing.
+    The sniffed bytes are read in full, however a pipe splits them, and then
+    replayed in front of the rest, so a pipe is read once and loses nothing.
     """
-    stream = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
+    head = raw.read(2)
+    stream = _Replayed(head, raw)
+    stream = gzip.GzipFile(fileobj=stream) if head == b"\x1f\x8b" else io.BufferedReader(stream)
     return io.TextIOWrapper(stream, encoding="utf-8", errors="replace")
 
 
@@ -76,13 +96,15 @@ def read_dataset(
     only a mark is blank. `limit` caps the number of parsed records,
     not raw lines, and must be at least 1. Raises ValueError("empty corpus")
     when nothing parses, and names the file in a ValueError when gzip input
-    is truncated or corrupt. Equal contents share one string, whose hash
+    is truncated or corrupt. Lines with equal label and content are one
+    record, made anew only where the content last appeared under the other
+    label. Equal contents under either label share one string, whose hash
     the later stages' lookups then find already computed.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     records: list[LogRecord] = []
-    contents: dict[str, str] = {}
+    by_content: dict[str, LogRecord] = {}  # the last record of each content
     lines_read = 0
     malformed = 0
     with open(path, "rb") as raw, _decoded(raw) as fh:
@@ -103,7 +125,10 @@ def read_dataset(
                     if len(parts) > format.header_fields
                     else ""
                 )
-                records.append(LogRecord(label, contents.setdefault(content, content)))
+                rec = by_content.get(content)
+                if rec is None or rec.label is not label:
+                    rec = by_content[content] = LogRecord(label, rec.content if rec else content)
+                records.append(rec)
                 if limit is not None and len(records) >= limit:
                     break
         except (EOFError, zlib.error) as exc:

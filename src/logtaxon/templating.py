@@ -134,18 +134,23 @@ def tokenize_corpus(
 
     Raw tokens and whole contents repeat enormously across a log, so masking
     is memoized per distinct token and tokenizing per distinct content, and
-    equal masked sequences share one tuple.
+    equal masked sequences share one tuple. Records with equal label and
+    content become one record, made anew only where the content last
+    appeared under the other label.
     """
     cache = _MaskCache(rules)
     sequences: dict[TokenSequence, TokenSequence] = {}
-    by_content: dict[str, TokenSequence] = {}
+    by_content: dict[str, LogRecord] = {}  # the last record of each content
     records = []
     for r in corpus:
-        tokens = by_content.get(r.content)
-        if tokens is None:
+        rec = by_content.get(r.content)
+        if rec is None:
             tokens = tuple(map(cache.__getitem__, r.content.split()))
-            tokens = by_content[r.content] = sequences.setdefault(tokens, tokens)
-        records.append(LogRecord(r.label, r.content, tokens))
+            tokens = sequences.setdefault(tokens, tokens)
+            rec = by_content[r.content] = LogRecord(r.label, r.content, tokens)
+        elif rec.label is not r.label:
+            rec = by_content[r.content] = LogRecord(r.label, rec.content, rec.tokens)
+        records.append(rec)
     return tuple(records)
 
 

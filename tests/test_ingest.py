@@ -1,5 +1,6 @@
 import gc
 import gzip
+import io
 import warnings
 
 import pytest
@@ -10,6 +11,7 @@ from logtaxon.ingest import (
     DatasetFormat,
     IngestSummary,
     SyntheticSpec,
+    _decoded,
     generate_synthetic,
     read_dataset,
     write_dataset,
@@ -125,6 +127,42 @@ def test_equal_contents_are_one_object(tmp_path):
     assert corpus[0].content == corpus[1].content == corpus[3].content
     assert corpus[0].content is corpus[1].content is corpus[3].content
     assert corpus[2].content is not corpus[0].content
+
+
+def test_equal_label_and_content_are_one_record(tmp_path):
+    path = tmp_path / "gen.log"
+    write_lines(path, ["- a 1", "X a 1", "- a 1", "X a 1", "X a 1", "- a 2", "- a 2"])
+    corpus, _ = read_dataset(str(path))
+    N, A = Label.NORMAL, Label.ANOMALOUS
+    assert [(r.label, r.content) for r in corpus] == [
+        (N, "a 1"), (A, "a 1"), (N, "a 1"), (A, "a 1"), (A, "a 1"), (N, "a 2"), (N, "a 2")
+    ]
+    assert corpus[3] is corpus[4] and corpus[5] is corpus[6]
+    assert len({id(r.content) for r in corpus[:5]}) == 1
+
+
+class OneByteAtATime(io.RawIOBase):
+    """A pipe whose every read delivers at most one byte."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if not self.data:
+            return 0
+        buffer[0], self.data = self.data[0], self.data[1:]
+        return 1
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+def test_sniffing_reads_the_magic_bytes_however_a_pipe_splits_them(compressed):
+    text = "- a b\nANOM c d\n"
+    data = gzip.compress(text.encode(), mtime=0) if compressed else text.encode()
+    with _decoded(io.BufferedReader(OneByteAtATime(data))) as fh:
+        assert fh.read() == text
 
 
 def test_limit_caps_records_not_lines(tmp_path):

@@ -1,8 +1,16 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
+from logtaxon.cli import DEMO_SPEC_ANOMALY_TEMPLATES, DEMO_SPEC_POOLS, DEMO_SPEC_TEMPLATES
 from logtaxon.context import ContextBounds
-from logtaxon.ingest import AttributePool, SyntheticSpec, generate_synthetic
+from logtaxon.ingest import (
+    AttributePool,
+    SyntheticSpec,
+    generate_synthetic,
+    read_dataset,
+    write_dataset,
+)
 from logtaxon.model import AnomalyKind, Label
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import ThresholdSweep
@@ -83,3 +91,32 @@ def test_score_triple_float_view():
     floats = triple.as_floats()
     assert floats[0] == float(triple.template_score)
     assert all(f is None or 0.0 <= f <= 1.0 for f in floats)
+
+
+def traced_peak_of_analysis(tmp_path, length):
+    """Peak traced bytes of reading and analyzing the demo corpus of `length` lines."""
+    spec = SyntheticSpec(
+        templates=DEMO_SPEC_TEMPLATES,
+        pools=DEMO_SPEC_POOLS,
+        anomaly_templates=DEMO_SPEC_ANOMALY_TEMPLATES,
+        length=length,
+        anomaly_rate=0.05,
+        seed=1,
+    )
+    path = tmp_path / f"demo-{length}.log"
+    write_dataset(generate_synthetic(spec)[0], str(path))
+    tracemalloc.start()
+    try:
+        corpus, _ = read_dataset(str(path))
+        analyze_corpus(corpus)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_traced_peak_grows_under_100_bytes_per_repeated_line(tmp_path):
+    # The demo corpus holds a few dozen distinct lines, so what a repeated
+    # line adds is its share of the per-line tuples, not records of its own.
+    small = traced_peak_of_analysis(tmp_path, 20_000)
+    large = traced_peak_of_analysis(tmp_path, 40_000)
+    assert (large - small) / 20_000 < 100

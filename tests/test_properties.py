@@ -68,6 +68,23 @@ def test_corpus_counts_partition(lines):
     assert anomalous == sum(1 for anom, _ in lines if anom)
 
 
+# Few distinct contents, several of them masking to one sequence, so labels
+# and contents repeat in runs and interleave.
+few_contents = st.sampled_from(["a 1", "a 2", "a  1", "b 0xbeef", "b", ""])
+
+
+@given(st.lists(st.tuples(st.sampled_from(Label), few_contents), max_size=40))
+def test_tokenize_corpus_shares_records_without_changing_them(lines):
+    corpus = tuple(LogRecord(label, text) for label, text in lines)
+    tokenized = tokenize_corpus(corpus)
+    assert tokenized == tuple(LogRecord(r.label, r.content, tokenize(r.content)) for r in corpus)
+    sequences = {}
+    for rec in tokenized:
+        assert sequences.setdefault(rec.tokens, rec.tokens) is rec.tokens
+    for a, b in zip(tokenized, tokenized[1:]):
+        assert (a is b) == ((a.label, a.content) == (b.label, b.content))
+
+
 @given(contents)
 def test_tokenize_yields_whitespace_free_tokens(text):
     toks = tokenize(text)
