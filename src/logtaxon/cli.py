@@ -8,7 +8,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import get_args
 
@@ -25,7 +24,7 @@ from .ingest import (
 from .model import Label
 from .pipeline import Analysis, analyze_corpus
 from .report import DEFAULT_THRESHOLDS, ThresholdSweep
-from .scoring import AttributeScope
+from .scoring import AttributeScope, ScoreTriple
 from .templating import DEFAULT_MASK_RULES, MinerConfig, load_mask_rules, save_forest
 
 OUT_DIR_ENV = "LOGTAXON_OUT_DIR"
@@ -155,10 +154,13 @@ def _format_for(args: argparse.Namespace) -> DatasetFormat:
     )
 
 
-def _frac_fields(value: Fraction | None) -> tuple[str, str, str]:
-    if value is None:
-        return "", "", ""
-    return f"{float(value):.6f}", str(value.numerator), str(value.denominator)
+def _score_fields(triple: ScoreTriple) -> tuple[str, ...]:
+    """A scores.csv row's nine fraction fields: the three floats, then each num and den."""
+    floats, exact = [], []
+    for value in (triple.template_score, triple.attribute_score, triple.context_score):
+        floats.append("" if value is None else f"{float(value):.6f}")
+        exact += ("", "") if value is None else (str(value.numerator), str(value.denominator))
+    return (*floats, *exact)
 
 
 def _write_scores_csv(analysis: Analysis, path: Path) -> None:
@@ -179,21 +181,25 @@ def _write_scores_csv(analysis: Analysis, path: Path) -> None:
                 "gamma_den",
             ]
         )
-        for index in sorted(analysis.scores):
-            triple = analysis.scores[index]
-            a_f, a_n, a_d = _frac_fields(triple.template_score)
-            b_f, b_n, b_d = _frac_fields(triple.attribute_score)
-            g_f, g_n, g_d = _frac_fields(triple.context_score)
-            template_id = analysis.mining.assignment[index - 1]
-            writer.writerow([index, template_id, a_f, b_f, g_f, a_n, a_d, b_n, b_d, g_n, g_d])
+        # Messages share their triples, so each distinct object is formatted once.
+        triples = analysis.scores.values()
+        fields = {key: _score_fields(t) for key, t in dict(zip(map(id, triples), triples)).items()}
+        assignment = analysis.mining.assignment
+        writer.writerows(
+            (index, assignment[index - 1], *fields[id(triple)])
+            for index, triple in analysis.scores.items()
+        )
 
 
 def _write_contexts_csv(analysis: Analysis, path: Path) -> None:
+    names = [str(tid) for tid in range(len(analysis.mining.templates) + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["index", "templateIds"])
-        for index, sig in enumerate(analysis.signatures, start=1):
-            writer.writerow([index, " ".join(map(str, sig))])
+        writer.writerows(
+            (index, " ".join(map(names.__getitem__, sig)))
+            for index, sig in enumerate(analysis.signatures, start=1)
+        )
 
 
 def _run_analyze(args: argparse.Namespace) -> int:

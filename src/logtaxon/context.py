@@ -31,15 +31,37 @@ def build_all_contexts(
 ) -> tuple[ContextSignature, ...]:
     """Signature of every position, order-aligned with the assignment.
 
-    Signatures repeat heavily in real logs, so each one is collapsed onto a
-    single shared tuple as soon as it is built; only the distinct signatures
-    stay in memory.
+    The window slides over a count per template id: each step adds the ids
+    entering it and removes those leaving, the centre among them. A sorted
+    tuple is built only when a count crosses 0, else the last one is reused,
+    and equal signatures are one shared tuple.
     """
+    counts: dict[int, int] = {}
+
+    def shift(tid: int, delta: int) -> bool:
+        """Move `tid`'s count in the window by `delta`; True when it crosses 0."""
+        count = counts[tid] = counts.get(tid, 0) + delta
+        if not count:
+            del counts[tid]
+        return count == (delta > 0)
+
+    before, after, n = bounds.before, bounds.after, len(assignment)
+    for tid in assignment[1 : 1 + after]:
+        shift(tid, 1)
     canon: dict[ContextSignature, ContextSignature] = {}
-    before, after = bounds.before, bounds.after
     signatures = []
-    for i in range(len(assignment)):
-        window = {*assignment[max(0, i - before) : i], *assignment[i + 1 : i + 1 + after]}
-        sig = tuple(sorted(window))
-        signatures.append(canon.setdefault(sig, sig))
+    changed, sig = True, ()
+    for i in range(n):
+        if i and before:  # adds before removes, so a kept id does not dip to 0
+            changed |= shift(assignment[i - 1], 1)
+        if i and after and i + after < n:
+            changed |= shift(assignment[i + after], 1)
+        if i > before > 0:
+            changed |= shift(assignment[i - 1 - before], -1)
+        if i and after:
+            changed |= shift(assignment[i], -1)
+        if changed:
+            sig = tuple(sorted(counts))
+            sig, changed = canon.setdefault(sig, sig), False
+        signatures.append(sig)
     return tuple(signatures)

@@ -131,7 +131,7 @@ def read_dataset(
                 records.append(rec)
                 if limit is not None and len(records) >= limit:
                     break
-        except (EOFError, zlib.error) as exc:
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise ValueError(f"damaged gzip input {path!r}: {exc}") from None
     if not records:
         raise ValueError("empty corpus")

@@ -212,15 +212,18 @@ def sweep_report(
     """Classify every scored message at every threshold and tally the outcome.
 
     `stats` is the report's dataset block, as dataset_statistics computes it.
+    Messages share their ScoreTriple objects, so each distinct object is
+    counted by identity, hashing no Fraction, and classified once. Equal but
+    distinct objects stay separate (triple, weight) pairs and keep both weights.
     """
-    # Score triples repeat across messages (few distinct templates and
-    # signatures), so classify each distinct triple once and weight by count.
-    distinct = Counter(scores.values())
+    triples = tuple(scores.values())
+    by_id = dict(zip(map(id, triples), triples))
+    distinct = [(by_id[key], weight) for key, weight in Counter(map(id, triples)).items()]
     rows = []
     for t in sweep.thresholds:
         counts: dict[AnomalyKind, int] = {kind: 0 for kind in AnomalyKind}
         classified = 0
-        for triple, weight in distinct.items():
+        for triple, weight in distinct:
             kinds = classify(triple, t)
             if kinds:
                 classified += weight

@@ -117,7 +117,8 @@ def score_corpus(
     the attribute score is the maximum over the message's attribute tokens,
     or None when it has none. Raises ValueError when the four sequences
     differ in length. Keys repeat heavily and share few distinct count
-    pairs, so each pair becomes one Fraction that every score with it shares.
+    pairs, so each pair becomes one shared Fraction, and each distinct trio
+    of those objects one ScoreTriple, looked up by identity, not by value.
     """
     fraction = cache(_fraction)
 
@@ -126,9 +127,17 @@ def score_corpus(
         keys = (table.attribute_key(tid, slot, token) for slot, token in enumerate(attrs))
         return max((fraction(table.attribute_counts[key]) for key in keys), default=None)
 
+    triples: dict[tuple[int, int, int], ScoreTriple] = {}
+
+    def triple(a: Fraction, b: Fraction | None, c: Fraction) -> ScoreTriple:
+        key = (id(a), id(b), id(c))
+        if key not in triples:
+            triples[key] = ScoreTriple(a, b, c)
+        return triples[key]
+
     rows = zip(corpus, assignment, attribute_sets, signatures, strict=True)
     return {
-        index: ScoreTriple(
+        index: triple(
             fraction(table.template_counts[tid]),
             attribute_score(tid, attrs),
             fraction(table.context_counts[sig]),

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 import os
@@ -8,6 +9,9 @@ import pytest
 
 from logtaxon import templating
 from logtaxon.cli import EXIT_INTERNAL, main
+from logtaxon.context import ContextBounds
+from logtaxon.ingest import DatasetFormat, read_dataset
+from logtaxon.pipeline import analyze_corpus
 
 
 @pytest.fixture()
@@ -78,6 +82,49 @@ def test_contexts_csv_shape(tmp_path, demo_log):
     lines = (out_dir / "contexts.csv").read_text().splitlines()
     assert lines[0] == "index,templateIds"
     assert len(lines) == 401  # one per record
+
+
+@pytest.mark.parametrize("score_normal, after", [(False, 0), (True, 2)])
+def test_dumps_round_trip_to_the_analysis(tmp_path, score_normal, after):
+    # "kernel halted" has no wildcard, so its attribute score is absent.
+    path = tmp_path / "mixed.log"
+    lines = ["- user alice logged in", "- user bob logged in", "ANOM user mallory logged in"]
+    path.write_text("\n".join((lines + ["ANOM kernel halted", "- kernel halted"]) * 5) + "\n")
+    extra = ["--context-after", str(after), "--dump-scores", "--dump-contexts"]
+    rc, out_dir = run_analyze(tmp_path, path, *extra, *["--score-normal"] * score_normal)
+    assert rc == 0
+    analysis = analyze_corpus(
+        read_dataset(str(path), DatasetFormat())[0],
+        bounds=ContextBounds(10, after),
+        include_normal_scores=score_normal,
+    )
+
+    with open(out_dir / "scores.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [int(row[0]) for row in rows] == list(analysis.scores)
+    absent = 0
+    for index, template_id, *values in rows:
+        triple = analysis.scores[int(index)]
+        assert int(template_id) == analysis.mining.assignment[int(index) - 1]
+        fields = dict(zip(header[2:], values))
+        scores = (triple.template_score, triple.attribute_score, triple.context_score)
+        for name, score in zip(("alpha", "beta", "gamma"), scores):
+            got = (fields[name], fields[f"{name}_num"], fields[f"{name}_den"])
+            if score is None:
+                absent += 1
+                assert got == ("", "", "")
+            else:
+                assert got == (f"{float(score):.6f}", str(score.numerator), str(score.denominator))
+    assert absent
+
+    header, *rows = (out_dir / "contexts.csv").read_text().splitlines()
+    assert header == "index,templateIds"
+    assert rows == [
+        f"{index},{' '.join(map(str, sig))}"
+        for index, sig in enumerate(analysis.signatures, start=1)
+    ]
+    if not after:  # nothing precedes the first line, so its signature is empty
+        assert rows[0] == "1,"
 
 
 def test_score_normal_expands_the_dump(tmp_path, demo_log):
@@ -262,11 +309,13 @@ def test_input_from_a_pipe(tmp_path):
     assert json.loads((out_dir / "report.json").read_text())["dataset"]["anomalousMessages"] == 1
 
 
-@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "bad header"])
 def test_damaged_gzip_input_fails_cleanly(tmp_path, demo_log, capsys, damage):
     data = bytearray(gzip.compress(demo_log.read_bytes(), mtime=0))
     if damage == "truncated":
         del data[len(data) // 2 :]
+    elif damage == "bad header":  # the magic bytes, then no valid header
+        data = b"\x1f\x8b" + b"x" * 16
     else:
         data[40] ^= 0xFF
         data[60] ^= 0xFF

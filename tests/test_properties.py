@@ -2,12 +2,12 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_force_scores, naive_mine
+from oracle import brute_force_scores, naive_mine, naive_signature
 from logtaxon.context import ContextBounds, build_all_contexts
-from logtaxon.model import Label, LogRecord
+from logtaxon.model import AnomalyKind, Label, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
@@ -137,23 +137,23 @@ def test_mining_repeated_sequences_matches_the_naive_reference_miner(token_lists
     assert mining.assignment == assignment
 
 
-@given(
-    st.lists(st.integers(1, 5), min_size=1, max_size=40),
-    st.integers(0, 6),
-    st.integers(0, 6),
+# Random ids, or one id through the whole corpus; bounds up to past either end.
+assignments = st.lists(st.integers(1, 5), max_size=40) | st.integers(1, 5).flatmap(
+    lambda tid: st.lists(st.just(tid), max_size=40)
 )
+
+
+@example([], 3, 3)
+@example([2] * 12, 4, 4)
+@example([1, 2, 3, 1], 0, 0)
+@example([1, 2, 1, 3], 0, 50)
+@example([1, 2, 1, 3], 50, 0)
+@given(assignments, st.integers(0, 50), st.integers(0, 50))
 def test_context_window_subset_and_exclusion(assignment, before, after):
-    bounds = ContextBounds(before, after)
-    sigs = build_all_contexts(assignment, bounds)
-    n = len(assignment)
-    for i in range(1, n + 1):
-        sig = sigs[i - 1]
-        window = [
-            assignment[j - 1]
-            for j in range(max(1, i - before), min(n, i + after) + 1)
-            if j != i
-        ]
-        assert sig == tuple(sorted(set(window)))
+    sigs = build_all_contexts(assignment, ContextBounds(before, after))
+    assert sigs == tuple(
+        naive_signature(assignment, i, before, after) for i in range(1, len(assignment) + 1)
+    )
 
 
 @given(st.integers(0, 50), st.integers(0, 50))
@@ -171,6 +171,32 @@ def test_template_score_is_exact_fraction(anomalous, normal):
 def test_classification_shrinks_as_threshold_rises(triple, t1, t2):
     lo, hi = sorted([t1, t2])
     assert classify(triple, hi) <= classify(triple, lo)
+
+
+def _copy(triple):
+    """An equal-valued ScoreTriple that shares none of `triple`'s objects."""
+    parts = (triple.template_score, triple.attribute_score, triple.context_score)
+    return ScoreTriple(*(None if f is None else Fraction(f.numerator, f.denominator) for f in parts))
+
+
+@given(
+    st.lists(triples, min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=30),
+    st.lists(thresholds, min_size=1, max_size=4, unique=True).map(sorted),
+)
+def test_sweep_matches_a_per_line_tally(shared, picks, ts):
+    # Each line holds one of a few shared triples or an equal-valued copy, so
+    # equal values arrive both as one object and as distinct objects.
+    scores = {}
+    for index, (pick, copy) in enumerate(picks, start=1):
+        triple = shared[pick % len(shared)]
+        scores[index] = _copy(triple) if copy else triple
+    report = sweep_report(scores, ThresholdSweep(tuple(ts)), DatasetStats(0, len(scores), 0, 0, 0))
+    for row, t in zip(report.rows, ts, strict=True):
+        kinds = [classify(triple, t) for triple in scores.values()]
+        assert row.counts == {kind: sum(kind in k for k in kinds) for kind in AnomalyKind}
+        assert row.classified == sum(1 for k in kinds if k)
+        assert row.unclassified == len(scores) - row.classified
 
 
 @given(st.dictionaries(st.integers(1, 30), triples, max_size=20))

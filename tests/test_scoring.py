@@ -4,7 +4,7 @@ import pytest
 
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.model import Label, LogRecord
-from logtaxon.scoring import CountTable, build_count_table, score_corpus
+from logtaxon.scoring import CountTable, ScoreTriple, build_count_table, score_corpus
 from logtaxon.templating import MiningResult, Template, attributes_for_corpus
 
 NO_CONTEXT = ()
@@ -171,6 +171,16 @@ def test_score_corpus_include_normal():
     table, sigs = table_for(corpus, [1, 1])
     scores = score_corpus(corpus, table, [1, 1], ((), ()), sigs, include_normal=True)
     assert sorted(scores) == [1, 2]
+
+
+def test_equal_triples_from_equal_count_pairs_are_one_object():
+    # Templates 1 and 2 both count (1, 1), and every signature is empty, so
+    # all four records score 1/2, absent, 1/2 from the same count pairs.
+    corpus = labeled("A", "N", "A", "N")
+    _, _, scores = scores_for(corpus, [1, 1, 2, 2], bounds=ContextBounds(0, 0))
+    first = scores[1]
+    assert first == ScoreTriple(Fraction(1, 2), None, Fraction(1, 2))
+    assert all(triple is first for triple in scores.values())
 
 
 def test_count_conservation():
