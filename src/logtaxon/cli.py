@@ -49,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--input", required=True, help="dataset file (plain or gzip)")
     analyze.add_argument(
         "--preset",
-        "--format",
-        dest="preset",
         choices=sorted(PRESETS),
         default="generic",
         help="line layout preset (default: generic)",
@@ -93,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--score-normal",
         action="store_true",
-        help="score normal messages too (affects score dump, not the report)",
+        help="score normal messages too in the --dump-scores dump (not the report)",
     )
 
     synth = sub.add_parser("synth", help="generate a small synthetic labeled dataset")
@@ -236,7 +234,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
         bounds=bounds,
         sweep=sweep,
         attribute_scope=args.attribute_scope,
-        include_normal_scores=args.score_normal,
+        include_normal_scores=args.score_normal and args.dump_scores,
         source={
             "input": os.path.basename(args.input),
             "preset": args.preset,

@@ -80,7 +80,7 @@ def _decoded(raw: io.BufferedReader) -> IO[str]:
     head = raw.read(2)
     stream = _Replayed(head, raw)
     stream = gzip.GzipFile(fileobj=stream) if head == b"\x1f\x8b" else io.BufferedReader(stream)
-    return io.TextIOWrapper(stream, encoding="utf-8", errors="replace")
+    return io.TextIOWrapper(stream, encoding="utf-8", errors="replace", newline="\n")
 
 
 def read_dataset(
@@ -90,16 +90,17 @@ def read_dataset(
 ) -> tuple[tuple[LogRecord, ...], IngestSummary]:
     """Parse a dataset file into a corpus, skipping (and counting) malformed lines.
 
-    A line is malformed when it has fewer fields than the header needs. Blank
-    lines count as malformed too. A byte-order mark at the start of any line
-    is dropped, as concatenated files leave one per file, so a line holding
-    only a mark is blank. `limit` caps the number of parsed records,
-    not raw lines, and must be at least 1. Raises ValueError("empty corpus")
-    when nothing parses, and names the file in a ValueError when gzip input
-    is truncated or corrupt. Lines with equal label and content are one
-    record, made anew only where the content last appeared under the other
-    label. Equal contents under either label share one string, whose hash
-    the later stages' lookups then find already computed.
+    A line ends at a newline alone, so a stray carriage return is whitespace
+    within it. A line is malformed when it has fewer fields than the header
+    needs, or is blank. A byte-order mark at the start of any line is
+    dropped, as concatenated files leave one per file, so a line holding
+    only a mark is blank. `limit` caps parsed records, not raw lines, and
+    must be at least 1. Raises ValueError("empty corpus") when nothing
+    parses, and names the file in a ValueError when gzip input is truncated
+    or corrupt. Lines with equal label and content are one record, made anew
+    only where the content last appeared under the other label. Equal
+    contents under either label share one string, whose hash the later
+    stages' lookups then find already computed.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
@@ -121,7 +122,7 @@ def read_dataset(
                     else Label.ANOMALOUS
                 )
                 content = (
-                    parts[format.header_fields].rstrip("\n")
+                    parts[format.header_fields].rstrip("\r\n")
                     if len(parts) > format.header_fields
                     else ""
                 )
@@ -138,12 +139,12 @@ def read_dataset(
     return tuple(records), IngestSummary(lines_read, malformed)
 
 
-def write_dataset(corpus: Iterable[LogRecord], path: str, anomalous_token: str = "ANOM") -> None:
+def write_dataset(corpus: Iterable[LogRecord], path: str) -> None:
     """Write a corpus in the generic one-header-field layout (round-trips with read_dataset)."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "wt", encoding="utf-8") as fh:
         for rec in corpus:
-            label = "-" if rec.label is Label.NORMAL else anomalous_token
+            label = "-" if rec.label is Label.NORMAL else "ANOM"
             fh.write(f"{label} {rec.content}\n")
 
 

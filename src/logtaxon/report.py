@@ -212,9 +212,10 @@ def sweep_report(
     """Classify every scored message at every threshold and tally the outcome.
 
     `stats` is the report's dataset block, as dataset_statistics computes it.
-    Messages share their ScoreTriple objects, so each distinct object is
-    counted by identity, hashing no Fraction, and classified once. Equal but
-    distinct objects stay separate (triple, weight) pairs and keep both weights.
+    score_corpus gives equal scores one ScoreTriple, so each distinct object
+    is counted by identity, hashing no Fraction, and classified once. Equal
+    but distinct objects from other callers stay separate (triple, weight)
+    pairs and keep both weights.
     """
     triples = tuple(scores.values())
     by_id = dict(zip(map(id, triples), triples))

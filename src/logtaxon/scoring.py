@@ -98,11 +98,6 @@ def build_count_table(
     return table
 
 
-def _fraction(pair: CountPair) -> Fraction:
-    a, n = pair
-    return Fraction(a, a + n)
-
-
 def score_corpus(
     corpus: Sequence[LogRecord],
     table: CountTable,
@@ -117,10 +112,16 @@ def score_corpus(
     the attribute score is the maximum over the message's attribute tokens,
     or None when it has none. Raises ValueError when the four sequences
     differ in length. Keys repeat heavily and share few distinct count
-    pairs, so each pair becomes one shared Fraction, and each distinct trio
-    of those objects one ScoreTriple, looked up by identity, not by value.
+    pairs, so each pair maps to the one Fraction of its value, and each
+    distinct trio of those objects to one ScoreTriple, found by identity.
     """
-    fraction = cache(_fraction)
+    values: dict[Fraction, Fraction] = {}
+
+    @cache
+    def fraction(pair: CountPair) -> Fraction:
+        a, n = pair
+        value = Fraction(a, a + n)
+        return values.setdefault(value, value)
 
     @cache
     def attribute_score(tid: int, attrs: TokenSequence) -> Fraction | None:

@@ -14,10 +14,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from sys import intern
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .model import LogRecord, TokenSequence
 
@@ -52,13 +52,6 @@ class MaskRule:
         flags = _LEADING_FLAGS.match(self.pattern).group()
         body = self.pattern[len(flags) :] + ("\n" if verbose else "")  # ends a trailing comment
         return re.compile(rf"{flags}\A(?:{body})\Z")
-
-    def apply(self, token: str) -> str | None:
-        """Rewritten token if the rule matches, else None."""
-        # `subn` parses the replacement template once and caches it, where
-        # `Match.expand` would parse it again for every token.
-        masked, matched = self.regex.subn(self.replacement, token)
-        return masked if matched else None
 
 
 # Ordered by priority: dotted quads first, then plain decimals, so that the
@@ -103,28 +96,26 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
     return tuple(rules)
 
 
-class _MaskCache(dict):
-    """Each raw token's masked form, computed on first lookup: the token
+def _masker(rules: Sequence[MaskRule]) -> Callable[[str], str]:
+    """A memoized function from a raw token to its masked form: the token
     rewritten by the first matching rule, or unchanged; interned."""
 
-    def __init__(self, rules: Sequence[MaskRule]):
-        super().__init__()
-        self.rules = rules
+    @cache
+    def mask(token: str) -> str:
+        for rule in rules:
+            # `subn` parses the replacement template once and caches it, where
+            # `Match.expand` would parse it again for every token.
+            masked, matched = rule.regex.subn(rule.replacement, token)
+            if matched:
+                return intern(masked)
+        return intern(token)
 
-    def __missing__(self, token: str) -> str:
-        for rule in self.rules:
-            masked = rule.apply(token)
-            if masked is not None:
-                break
-        else:
-            masked = token
-        masked = self[token] = intern(masked)
-        return masked
+    return mask
 
 
 def tokenize(content: str, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES) -> TokenSequence:
     """Split content on whitespace runs and mask each token with the first matching rule."""
-    return tuple(map(_MaskCache(rules).__getitem__, content.split()))
+    return tuple(map(_masker(rules), content.split()))
 
 
 def tokenize_corpus(
@@ -138,14 +129,14 @@ def tokenize_corpus(
     content become one record, made anew only where the content last
     appeared under the other label.
     """
-    cache = _MaskCache(rules)
+    mask = _masker(rules)
     sequences: dict[TokenSequence, TokenSequence] = {}
     by_content: dict[str, LogRecord] = {}  # the last record of each content
     records = []
     for r in corpus:
         rec = by_content.get(r.content)
         if rec is None:
-            tokens = tuple(map(cache.__getitem__, r.content.split()))
+            tokens = tuple(map(mask, r.content.split()))
             tokens = sequences.setdefault(tokens, tokens)
             rec = by_content[r.content] = LogRecord(r.label, r.content, tokens)
         elif rec.label is not r.label:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from logtaxon import templating
+from logtaxon import cli, templating
 from logtaxon.cli import EXIT_INTERNAL, main
 from logtaxon.context import ContextBounds
 from logtaxon.ingest import DatasetFormat, read_dataset
@@ -148,6 +148,20 @@ def test_score_normal_expands_the_dump(tmp_path, demo_log):
     assert len(anom_rows) < len(all_rows)
     # The report itself is unchanged: still anomalous-only percentages.
     assert (out_dir / "report.json").read_text() == (anom_dir / "report.json").read_text()
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_score_normal_scores_normal_lines_only_for_a_dump(tmp_path, demo_log, monkeypatch, dump):
+    seen = []
+
+    def recording(corpus, **kwargs):
+        seen.append(kwargs["include_normal_scores"])
+        return analyze_corpus(corpus, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_corpus", recording)
+    rc, _ = run_analyze(tmp_path, demo_log, "--score-normal", *["--dump-scores"] * dump)
+    assert rc == 0
+    assert seen == [dump]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, demo_log):

@@ -17,6 +17,7 @@ from logtaxon.ingest import (
     write_dataset,
 )
 from logtaxon.model import AnomalyKind, Label
+from logtaxon.templating import tokenize
 
 BGL_NORMAL = (
     "- 1117838570 2005.06.03 R02-M1-N0-C:J12-U11 2005-06-03-15.42.50.363779 "
@@ -101,6 +102,20 @@ def test_leading_byte_order_mark_is_dropped(tmp_path, compressed):
     ]
     assert [rec.content for rec in corpus] == ["all fine", "broke", "a b", "end"]
     assert summary == IngestSummary(lines_read=5, malformed_skipped=1)
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["plain", "gzip"])
+def test_a_line_ends_at_newline_only(tmp_path, compressed):
+    # A lone carriage return stays inside its line, where whitespace
+    # splitting treats it as a space; a CRLF ending is dropped whole.
+    data = b"- foo\rbar\n- baz qux\nERR boom\r\n"
+    path = tmp_path / "cr.log"
+    path.write_bytes(gzip.compress(data, mtime=0) if compressed else data)
+    corpus, summary = read_dataset(str(path))
+    assert [rec.label for rec in corpus] == [Label.NORMAL, Label.NORMAL, Label.ANOMALOUS]
+    assert [rec.content for rec in corpus] == ["foo\rbar", "baz qux", "boom"]
+    assert summary == IngestSummary(lines_read=3, malformed_skipped=0)
+    assert tokenize(corpus[0].content) == ("foo", "bar")
 
 
 def test_malformed_lines_are_skipped_and_counted(tmp_path):

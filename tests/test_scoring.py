@@ -174,13 +174,14 @@ def test_score_corpus_include_normal():
 
 
 def test_equal_triples_from_equal_count_pairs_are_one_object():
-    # Templates 1 and 2 both count (1, 1), and every signature is empty, so
-    # all four records score 1/2, absent, 1/2 from the same count pairs.
-    corpus = labeled("A", "N", "A", "N")
-    _, _, scores = scores_for(corpus, [1, 1, 2, 2], bounds=ContextBounds(0, 0))
-    first = scores[1]
-    assert first == ScoreTriple(Fraction(1, 2), None, Fraction(1, 2))
-    assert all(triple is first for triple in scores.values())
+    # Every signature is empty, so every record scores 1/2, absent, 1/2.
+    # First templates 1 and 2 both count (1, 1); then template 2 counts
+    # (2, 2), so 1/2 comes from two different count pairs.
+    for labels, assignment in [("ANAN", [1, 1, 2, 2]), ("ANANAN", [1, 1, 2, 2, 2, 2])]:
+        _, _, scores = scores_for(labeled(*labels), assignment, bounds=ContextBounds(0, 0))
+        first = scores[1]
+        assert first == ScoreTriple(Fraction(1, 2), None, Fraction(1, 2))
+        assert all(triple is first for triple in scores.values())
 
 
 def test_count_conservation():

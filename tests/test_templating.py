@@ -119,6 +119,32 @@ def test_equal_masked_sequences_share_one_tuple():
     assert tokens[3] == ("retry", "of", "<:NUM:>")
 
 
+def test_each_rule_masks_each_distinct_raw_token_once():
+    calls = []
+
+    class Counting:
+        def __init__(self, name, regex):
+            self.name, self.regex = name, regex
+
+        def subn(self, replacement, token):
+            calls.append((self.name, token))
+            return self.regex.subn(replacement, token)
+
+    rules = (MaskRule("NUM", r"\d+", "<:NUM:>"), MaskRule("WORD", "[a-z]+", "<:WORD:>"))
+    for rule in rules:
+        rule.__dict__["regex"] = Counting(rule.name, rule.regex)  # the cached_property's slot
+    # Raw tokens repeat across contents, and one content under both labels.
+    labels = [Label.NORMAL, Label.ANOMALOUS, Label.ANOMALOUS, Label.NORMAL]
+    lines = ["retry 17 of 255", "retry 17 of 255", "retry 17 of 9", "of 9 retry X"]
+    corpus = tokenize_corpus([LogRecord(*pair) for pair in zip(labels, lines)], rules)
+    assert corpus[0].tokens == ("<:WORD:>", "<:NUM:>", "<:WORD:>", "<:NUM:>")
+    assert corpus[3].tokens == ("<:WORD:>", "<:NUM:>", "<:WORD:>", "X")
+    # NUM sees every distinct raw token once, WORD only those NUM left alone.
+    expected = [("NUM", t) for t in ("retry", "17", "of", "255", "9", "X")]
+    expected += [("WORD", t) for t in ("retry", "of", "X")]
+    assert sorted(calls) == sorted(expected)
+
+
 # --- mining ----------------------------------------------------------------
 
 
