@@ -109,11 +109,11 @@ DEMO_SPEC_TEMPLATES = (
     "disk <disk> health check passed",
 )
 DEMO_SPEC_POOLS = {
-    "user": AttributePool("user", ("alice", "bob", "carol"), ("mallory",)),
-    "ip": AttributePool("ip", ("10.0.0.1", "10.0.0.2", "192.168.1.9")),
-    "ms": AttributePool("ms", ("12", "35", "310")),
-    "status": AttributePool("status", ("200", "204"), ("503",)),
-    "disk": AttributePool("disk", ("sda", "sdb")),
+    "user": AttributePool(("alice", "bob", "carol"), ("mallory",)),
+    "ip": AttributePool(("10.0.0.1", "10.0.0.2", "192.168.1.9")),
+    "ms": AttributePool(("12", "35", "310")),
+    "status": AttributePool(("200", "204"), ("503",)),
+    "disk": AttributePool(("sda", "sdb")),
 }
 DEMO_SPEC_ANOMALY_TEMPLATES = (
     "kernel panic on cpu <ms>",

@@ -150,10 +150,9 @@ def write_dataset(corpus: Iterable[LogRecord], path: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class AttributePool:
-    """Values a template slot can draw: normal lines sample `normal`, injected
-    attribute anomalies sample `anomalous` (tokens no normal line ever uses)."""
+    """Values a "<pool>" token draws, named by its key in `SyntheticSpec.pools`: normal
+    lines sample `normal`, attribute anomalies `anomalous` (tokens no normal line uses)."""
 
-    name: str
     normal: tuple[str, ...]
     anomalous: tuple[str, ...] = ()
 

@@ -191,34 +191,33 @@ class Template:
 class _Node:
     """A routing node; a leaf also holds its templates' ids and an index over them.
 
-    A template's slot is its position in `ids`, the leaf's creation order.
-    `postings[i]` maps a literal token to the slots of the templates that
-    hold it at position i, and `wildcards[slot]` counts that template's
-    wildcard positions.
+    `ids` lists the leaf's template ids in creation order, and `postings[i]`
+    maps a literal token to the ids of the leaf's templates that hold it at
+    position i.
     """
 
-    __slots__ = ("children", "ids", "postings", "wildcards")
+    __slots__ = ("children", "ids", "postings")
 
     def __init__(self) -> None:
         self.children: dict[object, _Node] = {}
         self.ids: list[int] = []
         self.postings: list[dict[str, list[int]]] = []
-        self.wildcards: list[int] = []
 
 
 class _Forest:
     """Length-partitioned routing tree holding template ids at its leaves.
 
-    `templates` holds every template's tokens, which pass 1 refines in
-    place; a template's id is its position plus one. `epoch` moves whenever
-    a template is created or a token refined to a wildcard; pass 1 memoizes
-    each sequence's template id under the epoch it left.
+    `templates` holds every template's tokens, which pass 1 refines in place,
+    and `wildcards` their wildcard counts; a template's id is its position in
+    both plus one. `epoch` moves whenever a template is created or a token refined
+    to a wildcard; pass 1 memoizes each sequence's template id under the epoch it left.
     """
 
     def __init__(self, config: MinerConfig):
         self.config = config
         self.root: dict[int, _Node] = {}
         self.templates: list[list[str]] = []
+        self.wildcards: list[int] = []
         self.epoch = 0
         self.memo: dict[TokenSequence, tuple[int, int]] = {}
 
@@ -259,33 +258,24 @@ class _Forest:
         return None
 
     def _descend_for_insert(self, tokens: Sequence[str]) -> _Node:
+        """Pass-1 routing that adds missing children: a new token goes to the wildcard
+        child if it holds a digit or no room is left for it beside the wildcard child."""
         node = self.root.setdefault(len(tokens), _Node())
         for token in self._routing_tokens(tokens):
-            if token in node.children:
-                node = node.children[token]
-                continue
-            if _HAS_DIGIT.search(token) or token == WILDCARD:
-                node = node.children.setdefault(WILDCARD, _Node())
-                continue
-            if WILDCARD in node.children:
-                if len(node.children) < self.config.max_children:
-                    node = node.children.setdefault(token, _Node())
-                else:
-                    node = node.children[WILDCARD]
-            elif len(node.children) + 1 < self.config.max_children:
-                node = node.children.setdefault(token, _Node())
-            else:
-                node = node.children.setdefault(WILDCARD, _Node())
+            children = node.children
+            full = len(children) + (WILDCARD not in children) >= self.config.max_children
+            if token not in children and (full or _HAS_DIGIT.search(token)):
+                token = WILDCARD
+            node = children.setdefault(token, _Node())
         return node
 
     def _meets_threshold(self, hits: int, tokens: Sequence[str]) -> bool:
         return not tokens or hits / len(tokens) >= self.config.similarity_threshold
 
-    @staticmethod
-    def _best_match(leaf: _Node, tokens: Sequence[str]) -> tuple[int, int]:
-        """Slot of the leaf's best template for a message, and its literal hits.
+    def _best_match(self, leaf: _Node, tokens: Sequence[str]) -> tuple[int, int]:
+        """Id of the leaf's best template for a message, and its literal hits.
 
-        Templates rank by (literal hits, wildcards), the first slot on ties.
+        Templates rank by (literal hits, wildcards), the first made on ties.
         Every template in a leaf has the message's length, so this is the
         order of the hit ratio. Only templates sharing a literal token with
         the message are counted; the others score (0, wildcards) and win
@@ -293,25 +283,25 @@ class _Forest:
         hit, since the postings hold no wildcard.
         """
         hits = Counter(chain.from_iterable(p.get(t, ()) for p, t in zip(leaf.postings, tokens)))
-        wildcards = leaf.wildcards
+        wildcards = self.wildcards
         if not hits:
-            return wildcards.index(max(wildcards)), 0
-        slot = max(hits, key=lambda s: (hits[s], wildcards[s], -s))
-        return slot, hits[slot]
+            return max(leaf.ids, key=lambda tid: wildcards[tid - 1]), 0
+        best = max(hits, key=lambda tid: (hits[tid], wildcards[tid - 1], -tid))
+        return best, hits[best]
 
     def _new_template(self, tokens: Sequence[str]) -> int:
         leaf = self._descend_for_insert(tokens)
         if not leaf.ids:
             leaf.postings = [{} for _ in tokens]
-        slot = len(leaf.ids)
+        self.templates.append(list(tokens))
+        self.wildcards.append(tokens.count(WILDCARD))
+        tid = len(self.templates)
         for posting, token in zip(leaf.postings, tokens):
             if token != WILDCARD:
-                posting.setdefault(token, []).append(slot)
-        leaf.wildcards.append(tokens.count(WILDCARD))
-        self.templates.append(list(tokens))
-        leaf.ids.append(len(self.templates))
+                posting.setdefault(token, []).append(tid)
+        leaf.ids.append(tid)
         self.epoch += 1
-        return len(self.templates)
+        return tid
 
     def learn(self, tokens: TokenSequence) -> int:
         """Pass-1 step: match-or-create a template and refine it.
@@ -324,15 +314,14 @@ class _Forest:
         if seen is not None and seen[0] == self.epoch:
             return seen[1]
         leaf = self._descend(tokens)
-        slot, hits = self._best_match(leaf, tokens) if leaf is not None else (0, -1)
+        tid, hits = self._best_match(leaf, tokens) if leaf is not None else (0, -1)
         if hits >= 0 and self._meets_threshold(hits, tokens):
-            tid = leaf.ids[slot]
             template = self.templates[tid - 1]
             for i, (t, w) in enumerate(zip(template, tokens)):
                 if t != WILDCARD and t != w:
                     template[i] = WILDCARD
-                    leaf.postings[i][t].remove(slot)
-                    leaf.wildcards[slot] += 1
+                    leaf.postings[i][t].remove(tid)
+                    self.wildcards[tid - 1] += 1
                     self.epoch += 1
         else:
             tid = self._new_template(tokens)
@@ -356,8 +345,7 @@ class _Forest:
                 f"no template cluster for a sequence of {len(tokens)} tokens; "
                 "the forest was mined from a different corpus"
             )
-        slot, _ = self._best_match(leaf, tokens)
-        return leaf.ids[slot]
+        return self._best_match(leaf, tokens)[0]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ def random_spec(rng: random.Random, length: int) -> SyntheticSpec:
         name = f"p{p}"
         normal = tuple(f"{name}v{v}" for v in range(rng.randint(1, 4)))
         anomalous = tuple(f"{name}bad{v}" for v in range(rng.randint(0, 2)))
-        pools[name] = AttributePool(name, normal, anomalous)
+        pools[name] = AttributePool(normal, anomalous)
     pool_names = list(pools)
 
     def make_template() -> str:

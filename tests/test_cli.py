@@ -1,5 +1,6 @@
 import csv
 import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -393,6 +394,20 @@ def test_synth_truth_file(tmp_path):
     truth = json.loads(truth_path.read_text())
     assert truth  # 5% default rate over 200 records: expect at least one
     assert set(truth.values()) <= {"template", "attribute", "contextual"}
+
+
+def test_synth_demo_corpus_is_pinned(tmp_path):
+    # The benchmark builds its demo corpus with each checkout's own `synth`, so
+    # a change to the generator's random stream would compare two different
+    # corpora. A change that means to alter these bytes updates the digests.
+    out, truth = tmp_path / "s.log", tmp_path / "truth.json"
+    rc = main(["synth", "--out", str(out), "--length", "2000", "--seed", "1", "--truth", str(truth)])
+    assert rc == 0
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (out, truth)]
+    assert digests == [
+        "7f2aee36703aeecf2157dda1193a8f66196a6c35f5440be6a6b9f2328f6ca197",
+        "239251513ca2a49c39537e8cfab7fc8aa319a8ca4d30a1bf85132afb17562b2d",
+    ]
 
 
 def test_console_script_help():

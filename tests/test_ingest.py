@@ -213,7 +213,7 @@ def test_all_malformed_raises(tmp_path):
 def test_write_read_round_trip(tmp_path):
     spec = SyntheticSpec(
         templates=("alpha <p> beta", "gamma delta"),
-        pools={"p": AttributePool("p", ("u", "v"))},
+        pools={"p": AttributePool(("u", "v"))},
         anomaly_templates=("omega failure",),
         length=50,
         anomaly_rate=0.2,
@@ -242,7 +242,7 @@ def test_format_validation():
 def demo_spec(**overrides):
     kwargs = dict(
         templates=("login by <who>", "heartbeat ok"),
-        pools={"who": AttributePool("who", ("ann", "ben"), ("zed",))},
+        pools={"who": AttributePool(("ann", "ben"), ("zed",))},
         anomaly_templates=("core dumped",),
         length=300,
         anomaly_rate=0.1,

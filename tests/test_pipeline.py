@@ -20,7 +20,7 @@ from logtaxon.templating import MinerConfig
 def spec_with_one_failure_template(**overrides):
     kwargs = dict(
         templates=("worker <w> finished batch", "queue drained cleanly"),
-        pools={"w": AttributePool("w", ("w1", "w2", "w3"))},
+        pools={"w": AttributePool(("w1", "w2", "w3"))},
         anomaly_templates=("watchdog reset fired",),
         length=400,
         anomaly_rate=0.03,

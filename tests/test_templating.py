@@ -295,8 +295,16 @@ def test_max_children_overflow_matches_the_reference_miner(lines, expected):
             ["a b * * *", "* * c d e"],
             (1, 1, 2, 2, 2, 1, 2),
         ),
+        # Line 3 refines the second cluster to "a b * *"; line 4 then ties the
+        # two clusters on hits, and the refinement's two wildcards must count.
+        (
+            ["p q c d", "a b x y", "a b z w", "a b c d"],
+            MinerConfig(tree_depth=3, similarity_threshold=0.5),
+            ["p q c d", "a b * *"],
+            (1, 2, 2, 2),
+        ),
     ],
-    ids=["only-wildcard", "wildcards-and-a-literal", "refined-elsewhere"],
+    ids=["only-wildcard", "wildcards-and-a-literal", "refined-elsewhere", "refined-wins-a-tie"],
 )
 def test_repeated_lines_match_the_reference_miner(lines, config, expected, assignment):
     corpus = corpus_of(*lines)
