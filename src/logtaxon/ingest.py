@@ -32,6 +32,8 @@ class DatasetFormat:
             raise ValueError("header_fields must be at least 1")
         if not 0 <= self.label_field < self.header_fields:
             raise ValueError("label_field must index a header field")
+        if self.normal_token.split() != [self.normal_token]:  # else no field can equal it
+            raise ValueError(f"normal token {self.normal_token!r} must be one whitespace-free field")
 
 
 # Header widths of the common supercomputer dumps:

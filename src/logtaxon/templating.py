@@ -225,36 +225,28 @@ class _Forest:
         # Never route on the last token; it stays available for similarity.
         return tokens[: min(self.config.routing_levels, len(tokens) - 1)]
 
-    def _descend(self, tokens: Sequence[str]) -> _Node | None:
-        """Greedy pass-1 routing: the literal child if present, else the wildcard child."""
-        node = self.root.get(len(tokens))
-        if node is None:
-            return None
-        for token in self._routing_tokens(tokens):
-            child = node.children.get(token) or node.children.get(WILDCARD)
-            if child is None:
-                return None
-            node = child
-        return node
-
-    def _descend_frozen(self, tokens: Sequence[str]) -> _Node | None:
-        """Pass-2 routing: literal child first, the wildcard child when that branch dead-ends.
-
-        A literal child created after a message was learned under the wildcard
-        child need not have children for the message's later routing tokens;
-        backtracking then still finds the branch the message was learned on.
-        """
+    def _descend(self, tokens: Sequence[str], backtrack: bool) -> _Node | None:
+        """The leaf a message routes to: at each level the literal child if present,
+        else the wildcard child. Pass 1 stops at a dead end, as Drain's greedy search
+        does. Pass 2 (`backtrack`) resumes at the wildcard sibling of the deepest
+        literal child taken, since a literal child made after a message was learned
+        under the wildcard child need not lead on to the message's leaf. A literal
+        "*" token takes the wildcard child itself, which is no sibling of its own."""
         routing = self._routing_tokens(tokens)
-        node = self.root.get(len(tokens))
-        stack = [] if node is None else [(node, 0)]
-        while stack:  # depth first, the literal child popped before the wildcard one
-            node, level = stack.pop()
+        node, level, untried = self.root.get(len(tokens)), 0, []
+        while node is not None or untried:
+            if node is None:
+                node, level = untried.pop()
             if level == len(routing):
                 return node
-            for key in (WILDCARD, routing[level]):
-                child = node.children.get(key)
-                if child is not None:
-                    stack.append((child, level + 1))
+            children = node.children
+            wildcard = children.get(WILDCARD)
+            node = children.get(routing[level])
+            level += 1
+            if node is None:
+                node = wildcard
+            elif backtrack and wildcard is not None and wildcard is not node:
+                untried.append((wildcard, level))
         return None
 
     def _descend_for_insert(self, tokens: Sequence[str]) -> _Node:
@@ -313,7 +305,7 @@ class _Forest:
         seen = self.memo.get(tokens)
         if seen is not None and seen[0] == self.epoch:
             return seen[1]
-        leaf = self._descend(tokens)
+        leaf = self._descend(tokens, backtrack=False)
         tid, hits = self._best_match(leaf, tokens) if leaf is not None else (0, -1)
         if hits >= 0 and self._meets_threshold(hits, tokens):
             template = self.templates[tid - 1]
@@ -339,11 +331,11 @@ class _Forest:
         template has gained wildcards after the message was first seen), so
         assignment is total for mined corpora.
         """
-        leaf = self._descend_frozen(tokens)
+        leaf = self._descend(tokens, backtrack=True)
         if leaf is None:
             raise RuntimeError(
-                f"no template cluster for a sequence of {len(tokens)} tokens; "
-                "the forest was mined from a different corpus"
+                f"pass 2 found no leaf for a sequence of {len(tokens)} tokens "
+                "that pass 1 learned"
             )
         return self._best_match(leaf, tokens)[0]
 

@@ -275,6 +275,18 @@ def test_limit_below_one_fails_cleanly(tmp_path, demo_log, capsys, limit):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("token", ["", "- x"], ids=["empty", "two-fields"])
+def test_unmatchable_normal_token_fails_cleanly(tmp_path, capsys, token):
+    path = tmp_path / "two.log"
+    path.write_text("- a b\nX a c\n")
+    rc, out_dir = run_analyze(tmp_path, path, "--normal-token", token)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"error: normal token {token!r} must be one whitespace-free field" in err
+    assert "parsed" not in err
+    assert not out_dir.exists()
+
+
 def test_mined_count_names_templates_matching_no_line(tmp_path, capsys):
     # Pass 1 merges the first two lines into "b * c *"; in pass 2 each of them
     # matches a later template better, so "b * c *" is mined but matches no line.
@@ -299,14 +311,14 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
 
 def test_internal_error_fails_cleanly(tmp_path, demo_log, capsys, monkeypatch):
     def no_leaf(self, tokens):
-        raise RuntimeError("no template cluster for a sequence of 3 tokens")
+        raise RuntimeError("pass 2 found no leaf for a sequence of 3 tokens")
 
     monkeypatch.setattr(templating._Forest, "assign", no_leaf)
     rc, _ = run_analyze(tmp_path, demo_log)
     assert rc == EXIT_INTERNAL
     assert rc not in (0, 1, 2)  # success, bad input, argparse's usage error
     err = capsys.readouterr().err
-    assert "error: internal: no template cluster" in err
+    assert "error: internal: pass 2 found no leaf" in err
     assert "Traceback" not in err
 
 

@@ -234,6 +234,11 @@ def test_format_validation():
         DatasetFormat(header_fields=0)
     with pytest.raises(ValueError):
         DatasetFormat(header_fields=2, label_field=2)
+    # A whitespace-split header field is never empty and never holds
+    # whitespace, so such a marker would label every line anomalous.
+    for token in ["", " ", "- x", "-\t", "\u3000-"]:
+        with pytest.raises(ValueError, match="must be one whitespace-free field"):
+            DatasetFormat(normal_token=token)
 
 
 # --- synthetic corpora -------------------------------------------------------

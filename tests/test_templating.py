@@ -4,6 +4,7 @@ import json
 import pytest
 
 from oracle import naive_mine
+from logtaxon import templating
 from logtaxon.context import build_all_contexts
 from logtaxon.model import Label, LogRecord
 from logtaxon.scoring import build_count_table
@@ -303,8 +304,23 @@ def test_max_children_overflow_matches_the_reference_miner(lines, expected):
             ["p q c d", "a b * *"],
             (1, 2, 2, 2),
         ),
+        # Pass 1 is greedy: line 3 takes the literal 'b' child, which holds only
+        # line 2's 'q' branch, and makes a template there rather than falling
+        # back to the root's wildcard child, where line 1's "x1 c d z" waits.
+        (
+            ["x1 c d z", "b q d z", "b c d z"],
+            MinerConfig(tree_depth=5),
+            ["x1 c d z", "b q d z", "b c d z"],
+            (1, 2, 3),
+        ),
     ],
-    ids=["only-wildcard", "wildcards-and-a-literal", "refined-elsewhere", "refined-wins-a-tie"],
+    ids=[
+        "only-wildcard",
+        "wildcards-and-a-literal",
+        "refined-elsewhere",
+        "refined-wins-a-tie",
+        "greedy-dead-end",
+    ],
 )
 def test_repeated_lines_match_the_reference_miner(lines, config, expected, assignment):
     corpus = corpus_of(*lines)
@@ -350,6 +366,48 @@ def test_backtracking_tries_the_literal_branch_first():
     templates, assignment = naive_mine([rec.tokens for rec in corpus], depth=6)
     assert [t.tokens for t in mining.templates] == templates
     assert mining.assignment == assignment
+
+
+def test_a_deep_tree_is_walked_without_recursion():
+    # The tree depth has no upper bound, so no walk may recurse per level:
+    # these lines route on 1,499 tokens, past Python's default recursion limit.
+    # Line 2 merges into line 1's cluster under the root's wildcard child; in
+    # pass 2 it dead-ends in line 3's literal 'b' branch and backtracks.
+    tail = " b" * 1498
+    corpus = corpus_of("x1 b" + tail, "b b" + tail, "b a" + tail)
+    mining = mine_templates(corpus, MinerConfig(tree_depth=1600))
+    assert [t.text for t in mining.templates] == ["* b" + tail, "b a" + tail]
+    assert mining.assignment == (1, 1, 2)
+
+
+def test_backtracking_keeps_no_fallback_for_a_literal_wildcard_token(monkeypatch):
+    # A literal "*" routing token names the wildcard child itself; kept also as
+    # its own fallback, it would double the work of a dead end beneath it, and
+    # k such levels would walk that dead end 2**k times.
+    visits = []
+
+    class CountingNode(templating._Node):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            self.children = CountingChildren()
+
+    class CountingChildren(dict):
+        def get(self, key, default=None):
+            visits.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(templating, "_Node", CountingNode)
+    # As in the deep-tree case, pass 2 dead-ends in line 3's literal 'b'
+    # branch, here below 12 levels of literal "*", and backtracks.
+    stars, tail = " *" * 12, " t" * 36
+    lines = [head + stars + last + tail for head, last in [("x1", " b"), ("b", " b"), ("b", " a")]]
+    mining = mine_templates(corpus_of(*lines), MinerConfig(tree_depth=17))
+    assert [t.text for t in mining.templates] == ["*" + stars + " b" + tail, lines[2]]
+    assert mining.assignment == (1, 1, 2)
+    # 166 child lookups over the two passes; 16,497 with the fallback kept.
+    assert len(visits) < 400
 
 
 def test_backtracking_leaves_no_cyclic_garbage():
