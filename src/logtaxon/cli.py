@@ -7,6 +7,7 @@ import csv
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import get_args
@@ -246,27 +247,22 @@ def _run_analyze(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    marker = out_dir / "INCOMPLETE"
-    marker.touch()
-    try:
-        (out_dir / "report.json").write_text(analysis.report.to_json(), encoding="utf-8")
-        (out_dir / "report.csv").write_text(analysis.report.to_csv(), encoding="utf-8")
-        forest_path = str(out_dir / "templates.json")
-        save_forest(analysis.mining, analysis.table.template_counts, forest_path)
-        # A reused directory may hold the optional dumps of an earlier run;
-        # remove the ones this run does not write so none is left stale.
-        for wanted, name, write in (
-            (args.dump_scores, "scores.csv", _write_scores_csv),
-            (args.dump_contexts, "contexts.csv", _write_contexts_csv),
-        ):
-            if wanted:
-                write(analysis, out_dir / name)
-            else:
-                (out_dir / name).unlink(missing_ok=True)
-    except OSError:
-        print(f"failed writing artifacts; left {marker}", file=sys.stderr)
-        raise
-    marker.unlink()
+    # Artifacts move out of staging only once all are written: a failed run
+    # leaves the previous run's as they were, a killed one its staging directory.
+    with tempfile.TemporaryDirectory(prefix=".incomplete-", dir=out_dir) as tmp:
+        staged = Path(tmp)
+        (staged / "report.json").write_text(analysis.report.to_json(), encoding="utf-8")
+        (staged / "report.csv").write_text(analysis.report.to_csv(), encoding="utf-8")
+        save_forest(analysis.mining, analysis.table.template_counts, str(staged / "templates.json"))
+        if args.dump_scores:
+            _write_scores_csv(analysis, staged / "scores.csv")
+        if args.dump_contexts:
+            _write_contexts_csv(analysis, staged / "contexts.csv")
+        # Remove the optional dumps of an earlier run that this run did not stage.
+        for name in {"scores.csv", "contexts.csv"} - set(os.listdir(staged)):
+            (out_dir / name).unlink(missing_ok=True)
+        for path in staged.iterdir():
+            path.replace(out_dir / path.name)
 
     print(analysis.report.to_text(), end="")
     elapsed = time.monotonic() - started

@@ -71,8 +71,8 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
     """Read mask rules from a JSON file: a list of {name, pattern, replacement?}.
 
     A missing replacement defaults to "<:NAME:>". Every pattern and
-    replacement is compiled here, so a bad entry fails before any input is
-    read, with a ValueError naming the file and the entry.
+    replacement is compiled and checked here, so a bad entry fails before any
+    input is read, with a ValueError naming the file and the entry.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -88,6 +88,9 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
             raise ValueError(f"{where}: needs a 'name' and a 'pattern'")
         name = entry["name"]
         rule = MaskRule(name, entry["pattern"], entry.get("replacement", f"<:{name}:>"))
+        for field, value in (("name", name), ("replacement", rule.replacement)):
+            if not isinstance(value, str) or value.split() != [value]:  # else a token holds a space
+                raise ValueError(f"{where}: {field!r} must be a non-empty, whitespace-free string")
         try:
             rule.regex.sub(rule.replacement, "")  # compiles the replacement as well
         except (re.error, IndexError, TypeError) as exc:

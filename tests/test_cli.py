@@ -44,9 +44,13 @@ def run_analyze(tmp_path, demo_log, *extra):
 def test_analyze_writes_all_artifacts(tmp_path, demo_log, capsys):
     rc, out_dir = run_analyze(tmp_path, demo_log, "--dump-scores", "--dump-contexts")
     assert rc == 0
-    for name in ["report.json", "report.csv", "templates.json", "scores.csv", "contexts.csv"]:
-        assert (out_dir / name).exists(), name
-    assert not (out_dir / "INCOMPLETE").exists()
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "contexts.csv",
+        "report.csv",
+        "report.json",
+        "scores.csv",
+        "templates.json",
+    ]
     stdout = capsys.readouterr().out
     assert "threshold" in stdout  # human summary on stdout
 
@@ -213,6 +217,22 @@ def test_rerun_removes_stale_optional_dumps(tmp_path, demo_log):
     ]
 
 
+def test_failed_write_leaves_the_previous_artifacts(tmp_path, demo_log, capsys, monkeypatch):
+    rc, out_dir = run_analyze(tmp_path, demo_log, "--thresholds", "0.5", "--dump-scores")
+    assert rc == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+    def write_part_then_fail(analysis, path):
+        path.write_text("index,templateIds\n1,")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_contexts_csv", write_part_then_fail)
+    rc, _ = run_analyze(tmp_path, demo_log, "--dump-contexts")
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 def test_custom_thresholds(tmp_path, demo_log):
     _, out_dir = run_analyze(tmp_path, demo_log, "--thresholds", "0.5,1")
     doc = json.loads((out_dir / "report.json").read_text())
@@ -369,13 +389,19 @@ def test_zero_denominator_threshold_fails_cleanly(tmp_path, demo_log, capsys):
     assert "Traceback" not in err
 
 
+_ONE_FIELD = "'{}' must be a non-empty, whitespace-free string"
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
         ({"name": "X", "pattern": "("}, "missing ), unterminated subpattern"),
         ({"pattern": "x+"}, "needs a 'name' and a 'pattern'"),
+        ({"name": None, "pattern": "x+"}, _ONE_FIELD.format("name")),
+        ({"name": "a b", "pattern": "x+"}, _ONE_FIELD.format("name")),
+        ({"name": "X", "pattern": "x+", "replacement": "x y"}, _ONE_FIELD.format("replacement")),
     ],
-    ids=["bad-pattern", "missing-name"],
+    ids=["bad-pattern", "missing-name", "null-name", "spaced-name", "spaced-replacement"],
 )
 def test_bad_mask_rules_fail_cleanly(tmp_path, demo_log, capsys, entry, message):
     rules = tmp_path / "rules.json"
