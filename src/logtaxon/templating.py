@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
 from sys import intern
 from typing import Callable, Mapping, Sequence
 
@@ -30,14 +28,20 @@ _HAS_DIGIT = re.compile(r"\d")
 _LEADING_FLAGS = re.compile(r"(?:\(\?[aiLmsux]+\))*")
 
 
+# A reference to a pattern group in a replacement: `\g<name>` or `\g<N>`.
+_GROUP_REF = re.compile(r"\\g<([^<>]*)>")
+
+
 @dataclass(frozen=True)
 class MaskRule:
     """Rewrites a whole token when `pattern` matches it entirely.
 
-    `replacement` is a regex expansion template, so a rule can keep part of
-    the original token (e.g. a `key=` prefix) around the mask. Mask tokens use
-    the angle-bracket-colon form `<:NAME:>`, which whitespace splitting can
-    never produce on its own.
+    `replacement` is literal text with `\\g<name>` or `\\g<N>` references to
+    the pattern's groups, so a rule can keep part of the original token (e.g.
+    a `key=` prefix) around the mask; a group that did not take part in the
+    match gives "". Any other backslash is refused rather than read as an
+    escape. Mask tokens use the angle-bracket-colon form `<:NAME:>`, which
+    whitespace splitting can never produce on its own.
     """
 
     name: str
@@ -52,6 +56,25 @@ class MaskRule:
         flags = _LEADING_FLAGS.match(self.pattern).group()
         body = self.pattern[len(flags) :] + ("\n" if verbose else "")  # ends a trailing comment
         return re.compile(rf"{flags}\A(?:{body})\Z")
+
+    @cached_property
+    def pieces(self) -> tuple[str | int, ...]:
+        """`replacement` split once into literal text and group numbers.
+
+        Raises ValueError for a backslash outside a group reference, or a
+        reference to a group the pattern does not define.
+        """
+        parts = _GROUP_REF.split(self.replacement)  # literal, reference, literal, ...
+        if any("\\" in literal for literal in parts[::2]):
+            raise ValueError(
+                f"replacement {self.replacement!r}: a backslash may only start "
+                "a group reference \\g<name> or \\g<N>"
+            )
+        groups = {str(n): n for n in range(self.regex.groups + 1)} | self.regex.groupindex
+        for reference in parts[1::2]:
+            if reference not in groups:
+                raise ValueError(f"replacement {self.replacement!r}: no group {reference!r}")
+        return tuple(groups[part] if i % 2 else part for i, part in enumerate(parts) if part)
 
 
 # Ordered by priority: dotted quads first, then plain decimals, so that the
@@ -92,8 +115,8 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
             if not isinstance(value, str) or value.split() != [value]:  # else a token holds a space
                 raise ValueError(f"{where}: {field!r} must be a non-empty, whitespace-free string")
         try:
-            rule.regex.sub(rule.replacement, "")  # compiles the replacement as well
-        except (re.error, IndexError, TypeError) as exc:
+            rule.pieces  # compiles the pattern and parses the replacement
+        except (re.error, TypeError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from None
         rules.append(rule)
     return tuple(rules)
@@ -102,15 +125,14 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
 def _masker(rules: Sequence[MaskRule]) -> Callable[[str], str]:
     """A memoized function from a raw token to its masked form: the token
     rewritten by the first matching rule, or unchanged; interned."""
+    compiled = [(rule.regex.match, rule.pieces) for rule in rules]
 
     @cache
     def mask(token: str) -> str:
-        for rule in rules:
-            # `subn` parses the replacement template once and caches it, where
-            # `Match.expand` would parse it again for every token.
-            masked, matched = rule.regex.subn(rule.replacement, token)
-            if matched:
-                return intern(masked)
+        for match, pieces in compiled:
+            m = match(token)
+            if m is not None:
+                return intern("".join([(m[p] or "") if type(p) is int else p for p in pieces]))
         return intern(token)
 
     return mask
@@ -213,7 +235,8 @@ class _Forest:
     `templates` holds every template's tokens, which pass 1 refines in place,
     and `wildcards` their wildcard counts; a template's id is its position in
     both plus one. `epoch` moves whenever a template is created or a token refined
-    to a wildcard; pass 1 memoizes each sequence's template id under the epoch it left.
+    to a wildcard; pass 1 memoizes each sequence's template id under the epoch it left,
+    and pass 2 takes the ids memoized at the final epoch as they are.
     """
 
     def __init__(self, config: MinerConfig):
@@ -277,7 +300,11 @@ class _Forest:
         only when no template has a hit. A literal "*" in a message is never a
         hit, since the postings hold no wildcard.
         """
-        hits = Counter(chain.from_iterable(p.get(t, ()) for p, t in zip(leaf.postings, tokens)))
+        hits: dict[int, int] = {}
+        get = hits.get
+        for posting, token in zip(leaf.postings, tokens):
+            for tid in posting.get(token, ()):
+                hits[tid] = get(tid, 0) + 1
         wildcards = self.wildcards
         if not hits:
             return max(leaf.ids, key=lambda tid: wildcards[tid - 1]), 0
@@ -368,8 +395,14 @@ def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = Non
     for tokens in token_lists:  # order-dependent tree growth, keep sequential
         forest.learn(tokens)
 
-    # The forest is frozen now, so every copy of a sequence gets the same id.
-    ids = {tokens: forest.assign(tokens) for tokens in dict.fromkeys(token_lists)}
+    # The forest is frozen now, so every copy of a sequence gets the same id. A
+    # sequence last learned at the final epoch keeps its pass-1 id: the forest
+    # is as that call left it, `learn`'s memo shows the full step would pick
+    # that id, and pass 2's walk reaches the leaf that pass 1's greedy walk did.
+    ids = {}
+    for tokens in dict.fromkeys(token_lists):
+        epoch, tid = forest.memo.get(tokens, (None, 0))
+        ids[tokens] = tid if epoch == forest.epoch else forest.assign(tokens)
     assignment = tuple(map(ids.__getitem__, token_lists))
     templates = tuple(Template(tuple(map(intern, tokens))) for tokens in forest.templates)
     return MiningResult(templates, assignment)

@@ -329,12 +329,20 @@ def test_missing_input_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_internal_error_fails_cleanly(tmp_path, demo_log, capsys, monkeypatch):
+def test_internal_error_fails_cleanly(tmp_path, capsys, monkeypatch):
+    # Line 2 refines the template line 1 made, so pass 1's id for line 1 is
+    # stale and pass 2 must assign it afresh.
+    path = tmp_path / "two.log"
+    path.write_text("- a b c\n- a b d\n")
+    called = []
+
     def no_leaf(self, tokens):
+        called.append(tokens)
         raise RuntimeError("pass 2 found no leaf for a sequence of 3 tokens")
 
     monkeypatch.setattr(templating._Forest, "assign", no_leaf)
-    rc, _ = run_analyze(tmp_path, demo_log)
+    rc, _ = run_analyze(tmp_path, path)
+    assert called == [("a", "b", "c")]
     assert rc == EXIT_INTERNAL
     assert rc not in (0, 1, 2)  # success, bad input, argparse's usage error
     err = capsys.readouterr().err
@@ -400,8 +408,20 @@ _ONE_FIELD = "'{}' must be a non-empty, whitespace-free string"
         ({"name": None, "pattern": "x+"}, _ONE_FIELD.format("name")),
         ({"name": "a b", "pattern": "x+"}, _ONE_FIELD.format("name")),
         ({"name": "X", "pattern": "x+", "replacement": "x y"}, _ONE_FIELD.format("replacement")),
+        # `re` would expand the escape into a tab inside the masked token.
+        (
+            {"name": "T", "pattern": "x+", "replacement": "a\\tb"},
+            "replacement 'a\\\\tb': a backslash may only start a group reference",
+        ),
     ],
-    ids=["bad-pattern", "missing-name", "null-name", "spaced-name", "spaced-replacement"],
+    ids=[
+        "bad-pattern",
+        "missing-name",
+        "null-name",
+        "spaced-name",
+        "spaced-replacement",
+        "escape-in-replacement",
+    ],
 )
 def test_bad_mask_rules_fail_cleanly(tmp_path, demo_log, capsys, entry, message):
     rules = tmp_path / "rules.json"

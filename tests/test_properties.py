@@ -6,12 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import brute_force_scores, naive_mine, naive_signature
+from logtaxon import templating
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.model import AnomalyKind, Label, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
 from logtaxon.templating import (
+    DEFAULT_MASK_RULES,
+    MaskRule,
     MinerConfig,
     mine_templates,
     tokenize,
@@ -85,6 +88,56 @@ def test_tokenize_corpus_shares_records_without_changing_them(lines):
         assert (a is b) == ((a.label, a.content) == (b.label, b.content))
 
 
+# Tokens over digits, hex letters and the separators the default rules know,
+# mostly glued from pieces that the default rules and the random rules below
+# match, so that many tokens match a rule whole.
+raw_tokens = st.text("0123456789abcdefxX.=_-+q", min_size=1, max_size=10) | st.lists(
+    st.sampled_from(["ab=", "c=", "12", "7", "x", "f", "0x", "1f", ".", "-", "q"]),
+    min_size=1,
+    max_size=4,
+).map("".join)
+
+
+@st.composite
+def mask_rules(draw):
+    """A rule of one to three groups, each named or numbered and each optional
+    or not, then an ungrouped tail; its replacement mixes literal text with
+    references to any of the groups, the whole match included."""
+    pattern, references = "", ["0"]
+    groups = st.tuples(
+        st.booleans(), st.sampled_from(["[a-f]+=", r"\d+", "[a-f0-9]", "x"]), st.booleans()
+    )
+    drawn = draw(st.lists(groups, min_size=1, max_size=3))
+    for number, (named, body, optional) in enumerate(drawn, start=1):
+        name = f"g{number}"
+        pattern += (f"(?P<{name}>{body})" if named else f"({body})") + ("?" if optional else "")
+        references += [str(number), name] if named else [str(number)]
+    pattern += draw(st.sampled_from(["", "[a-f]*", r"\.\d"]))
+    literals = st.sampled_from(["<:M:>", "=", "{}", "%s", "<"])
+    references = st.sampled_from(references).map(lambda ref: rf"\g<{ref}>")
+    replacement = "".join(draw(st.lists(literals | references, min_size=1, max_size=4)))
+    return MaskRule("M", pattern, replacement)
+
+
+def re_mask(rules, token):
+    """The token rewritten by `re` under the first rule that matches it whole."""
+    for rule in rules:
+        masked, matched = rule.regex.subn(rule.replacement, token)
+        if matched:
+            return masked
+    return token
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.just(DEFAULT_MASK_RULES) | st.lists(mask_rules(), min_size=1, max_size=3),
+    st.lists(raw_tokens, max_size=20),
+)
+def test_masking_matches_re_substitution(rules, tokens):
+    mask = templating._masker(rules)
+    assert [mask(token) for token in tokens] == [re_mask(rules, token) for token in tokens]
+
+
 @given(contents)
 def test_tokenize_yields_whitespace_free_tokens(text):
     toks = tokenize(text)
@@ -135,6 +188,18 @@ def test_mining_repeated_sequences_matches_the_naive_reference_miner(token_lists
     )
     assert [t.tokens for t in mining.templates] == templates
     assert mining.assignment == assignment
+
+
+@settings(max_examples=500, deadline=None)
+@given(miner_inputs | repetitive_inputs, tree_shapes)
+def test_pass_1_ids_at_the_final_epoch_are_what_pass_2_assigns(token_lists, config):
+    forest = templating._Forest(config)
+    for tokens in token_lists:
+        forest.learn(tokens)
+    for tokens in set(token_lists):
+        seen = forest.memo.get(tokens)
+        if seen is not None and seen[0] == forest.epoch:
+            assert forest.assign(tokens) == seen[1]
 
 
 # Random ids, or one id through the whole corpus; bounds up to past either end.

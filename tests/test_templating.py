@@ -103,6 +103,79 @@ def test_load_mask_rules_round_trip(tmp_path):
     assert tokenize(token, rules) == ("<:UUID:>",)
 
 
+def test_hex_rule_keeps_a_key_prefix_and_masks_a_bare_value():
+    assert tokenize("id=0x1f 0x1f") == ("id=<:HEX:>", "<:HEX:>")
+
+
+def test_mask_replacement_fills_an_unmatched_group_with_nothing():
+    rules = (MaskRule("V", r"(?P<key>[a-z]+=)?(\d+)(x)?", r"[\g<key>|\g<2>|\g<3>|\g<0>]"),)
+    assert tokenize("n=12 12x", rules) == ("[n=|12||n=12]", "[|12|x|12x]")
+
+
+def write_rules(tmp_path, *entries):
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps(list(entries)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "replacement, token, masked",
+    [
+        ("<:V:>", "k=7", "<:V:>"),
+        (r"\g<key><:V:>", "k=7", "k=<:V:>"),
+        (r"\g<1><:V:>", "k=7", "k=<:V:>"),
+        (r"\g<0>!", "k=7", "k=7!"),
+    ],
+    ids=["literal", "named", "numbered", "whole-match"],
+)
+def test_load_mask_rules_accepts_literals_and_group_references(
+    tmp_path, replacement, token, masked
+):
+    path = write_rules(
+        tmp_path, {"name": "V", "pattern": r"(?P<key>[a-z]+=)?\d+", "replacement": replacement}
+    )
+    assert tokenize(token, load_mask_rules(path)) == (masked,)
+
+
+@pytest.mark.parametrize(
+    "replacement, message",
+    [
+        (r"a\tb", "a backslash may only start a group reference"),
+        (r"a\040b", "a backslash may only start a group reference"),
+        (r"\1<:V:>", "a backslash may only start a group reference"),
+        (r"a\\b", "a backslash may only start a group reference"),
+        (r"\\g<1>", "a backslash may only start a group reference"),
+        (r"\g<key", "a backslash may only start a group reference"),
+        (r"\g<nope><:V:>", "no group 'nope'"),
+        (r"\g<2><:V:>", "no group '2'"),
+        (r"\g<-1><:V:>", "no group '-1'"),
+        (r"\g<><:V:>", "no group ''"),
+    ],
+    ids=[
+        "tab",
+        "octal",
+        "backreference",
+        "escaped-backslash",
+        "escaped-reference",
+        "unclosed",
+        "unknown-name",
+        "number-out-of-range",
+        "negative-number",
+        "empty-reference",
+    ],
+)
+def test_load_mask_rules_rejects_other_replacements(tmp_path, replacement, message):
+    path = write_rules(
+        tmp_path,
+        {"name": "OK", "pattern": "y+"},
+        {"name": "V", "pattern": r"(?P<key>[a-z]+=)?\d+", "replacement": replacement},
+    )
+    with pytest.raises(ValueError) as info:
+        load_mask_rules(path)
+    assert str(info.value).startswith(f"mask rule file {path!r}, entry 2: ")
+    assert message in str(info.value)
+
+
 def test_load_mask_rules_rejects_non_list(tmp_path):
     path = tmp_path / "rules.json"
     path.write_text('{"name": "X"}')
@@ -127,9 +200,12 @@ def test_each_rule_masks_each_distinct_raw_token_once():
         def __init__(self, name, regex):
             self.name, self.regex = name, regex
 
-        def subn(self, replacement, token):
+        def match(self, token):
             calls.append((self.name, token))
-            return self.regex.subn(replacement, token)
+            return self.regex.match(token)
+
+        def __getattr__(self, attr):  # the group table, read once per rule
+            return getattr(self.regex, attr)
 
     rules = (MaskRule("NUM", r"\d+", "<:NUM:>"), MaskRule("WORD", "[a-z]+", "<:WORD:>"))
     for rule in rules:
@@ -334,6 +410,34 @@ def test_repeated_lines_match_the_reference_miner(lines, config, expected, assig
         config.max_children,
     )
     assert ([t.tokens for t in mining.templates], mining.assignment) == reference
+
+
+def test_pass_2_assigns_only_sequences_pass_1_left_unsettled(monkeypatch):
+    # "a b c" was learned before "a b d" refined its template, so its memo
+    # entry is stale; "* * z" misses the threshold against its own template
+    # and has none; "p q" was learned last, at the final epoch.
+    lines = ["a b c", "a b d", "* * z", "p q", "p q"]
+    assigned = []
+    assign = templating._Forest.assign
+
+    def counting(self, tokens):
+        assigned.append(" ".join(tokens))
+        return assign(self, tokens)
+
+    monkeypatch.setattr(templating._Forest, "assign", counting)
+    config = MinerConfig(similarity_threshold=0.5)
+    mining = mine_templates(pre_tokenized(lines), config)
+    assert sorted(assigned) == ["* * z", "a b c", "a b d"]
+    assert [t.text for t in mining.templates] == ["a b *", "* * z", "p q"]
+    assert mining.assignment == (1, 1, 2, 3, 3)
+    reference = naive_mine([tuple(line.split()) for line in lines], 4, 0.5, 100)
+    assert ([t.tokens for t in mining.templates], mining.assignment) == reference
+
+
+def pre_tokenized(lines):
+    """Records whose tokens are the lines split as they are, unmasked, so
+    that a literal "*" reaches the miner."""
+    return [LogRecord(Label.NORMAL, line, tuple(line.split())) for line in lines]
 
 
 def test_deeper_tree_routes_on_more_tokens():
