@@ -22,10 +22,9 @@ from .ingest import (
     read_dataset,
     write_dataset,
 )
-from .model import Label
 from .pipeline import Analysis, analyze_corpus
 from .report import DEFAULT_THRESHOLDS, ThresholdSweep
-from .scoring import AttributeScope, ScoreTriple
+from .scoring import AttributeScope, ScoreTriple, anomalous_flags
 from .templating import DEFAULT_MASK_RULES, MinerConfig, load_mask_rules, save_forest
 
 OUT_DIR_ENV = "LOGTAXON_OUT_DIR"
@@ -223,7 +222,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             f"skipped {summary.malformed_skipped} malformed of {summary.lines_read} lines",
             file=sys.stderr,
         )
-    anomalous = sum(rec.label is Label.ANOMALOUS for rec in corpus)
+    anomalous = anomalous_flags(corpus).count(1)
     print(
         f"parsed {len(corpus)} records ({anomalous} anomalous); mining templates ...",
         file=sys.stderr,

@@ -9,6 +9,7 @@ so early and late messages simply have smaller neighborhoods.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from typing import Sequence
 
 ContextSignature = tuple[int, ...]
@@ -32,34 +33,42 @@ def build_all_contexts(
     """Signature of every position, order-aligned with the assignment.
 
     The window slides over a count per template id: each step adds the ids
-    entering it and removes those leaving, the centre among them. A sorted
+    entering it, then removes those leaving, the centre among them. A sorted
     tuple is built only when a count crosses 0, else the last one is reused,
     and equal signatures are one shared tuple.
     """
-    counts: dict[int, int] = {}
-
-    def shift(tid: int, delta: int) -> bool:
-        """Move `tid`'s count in the window by `delta`; True when it crosses 0."""
-        count = counts[tid] = counts.get(tid, 0) + delta
-        if not count:
-            del counts[tid]
-        return count == (delta > 0)
-
     before, after, n = bounds.before, bounds.after, len(assignment)
+    counts: dict[int, int] = {}
+    get = counts.get
     for tid in assignment[1 : 1 + after]:
-        shift(tid, 1)
-    canon: dict[ContextSignature, ContextSignature] = {}
-    signatures = []
-    changed, sig = True, ()
-    for i in range(n):
-        if i and before:  # adds before removes, so a kept id does not dip to 0
-            changed |= shift(assignment[i - 1], 1)
-        if i and after and i + after < n:
-            changed |= shift(assignment[i + after], 1)
-        if i > before > 0:
-            changed |= shift(assignment[i - 1 - before], -1)
-        if i and after:
-            changed |= shift(assignment[i], -1)
+        counts[tid] = get(tid, 0) + 1
+    # Step i >= 1 adds the ids at i - 1 and i + after and removes those at
+    # i - 1 - before and i, with None where the bounds or an edge leave no id.
+    none = repeat(None)
+    steps = zip(
+        assignment if before else none,
+        chain(islice(assignment, 1 + after, None), none) if after else none,
+        chain(repeat(None, before), assignment) if before else none,
+        islice(assignment, 1, None) if after else none,
+    )
+    canon, signatures, changed = {}, [], True
+    for enter, enter_after, leave, leave_after in islice(chain([(None,) * 4], steps), n):
+        if enter is not None:
+            count = counts[enter] = get(enter, 0) + 1
+            changed = count == 1
+        if enter_after is not None:
+            count = counts[enter_after] = get(enter_after, 0) + 1
+            changed = changed or count == 1
+        if leave is not None:
+            count = counts[leave] = counts[leave] - 1
+            if not count:
+                del counts[leave]
+                changed = True
+        if leave_after is not None:
+            count = counts[leave_after] = counts[leave_after] - 1
+            if not count:
+                del counts[leave_after]
+                changed = True
         if changed:
             sig = tuple(sorted(counts))
             sig, changed = canon.setdefault(sig, sig), False

@@ -14,6 +14,7 @@ import io
 import random
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import IO, Iterable, Mapping
 
 from .model import AnomalyKind, Label, LogRecord
@@ -108,30 +109,24 @@ def read_dataset(
         raise ValueError(f"limit must be at least 1, got {limit}")
     records: list[LogRecord] = []
     by_content: dict[str, LogRecord] = {}  # the last record of each content
-    lines_read = 0
-    malformed = 0
+    last, append = by_content.get, records.append
+    width, label_at, normal = format.header_fields, format.label_field, format.normal_token
+    normal_label, anomalous_label = Label.NORMAL, Label.ANOMALOUS
+    lines_read = malformed = 0
     with open(path, "rb") as raw, _decoded(raw) as fh:
+        lines = map(str.rstrip, map(str.lstrip, fh, repeat("\ufeff")), repeat("\r\n"))
+        fields = map(str.split, lines, repeat(None), repeat(width))
         try:
-            for line in fh:
-                lines_read += 1
-                parts = line.lstrip("\ufeff").split(maxsplit=format.header_fields)
-                if len(parts) < format.header_fields:
+            for lines_read, parts in enumerate(fields, 1):
+                if len(parts) < width:
                     malformed += 1
                     continue
-                label = (
-                    Label.NORMAL
-                    if parts[format.label_field] == format.normal_token
-                    else Label.ANOMALOUS
-                )
-                content = (
-                    parts[format.header_fields].rstrip("\r\n")
-                    if len(parts) > format.header_fields
-                    else ""
-                )
-                rec = by_content.get(content)
+                content = parts[width] if len(parts) > width else ""
+                label = normal_label if parts[label_at] == normal else anomalous_label
+                rec = last(content)
                 if rec is None or rec.label is not label:
                     rec = by_content[content] = LogRecord(label, rec.content if rec else content)
-                records.append(rec)
+                append(rec)
                 if limit is not None and len(records) >= limit:
                     break
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:

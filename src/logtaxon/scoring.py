@@ -7,10 +7,13 @@ literally every occurrence was anomalous, with no float rounding involved.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Literal, Mapping, Sequence
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, is_, mul
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .context import ContextSignature
 from .model import Label, LogRecord, TokenSequence
@@ -19,6 +22,7 @@ from .model import Label, LogRecord, TokenSequence
 CountPair = tuple[int, int]
 
 AttributeScope = Literal["global", "per-position"]
+_SPLIT = 1 << 62  # more occurrences of one key than any corpus holds
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +53,7 @@ class CountTable:
     Attribute keys depend on the scope: "global" pools a token's occurrences
     across all templates and positions, "per-position" keys them by
     (template id, wildcard slot, token) so the same token can score
-    differently in different holes.
+    differently in different holes. `build_count_table` fills Counters.
     """
 
     template_counts: Mapping[int, CountPair]
@@ -63,9 +67,22 @@ class CountTable:
         return (template_id, slot, token)
 
 
-def _bump(counts: dict, key: object, anomalous: bool) -> None:
-    a, n = counts.get(key, (0, 0))
-    counts[key] = (a + 1, n) if anomalous else (a, n + 1)
+def anomalous_flags(corpus: Sequence[LogRecord], *aligned: Sequence) -> bytes:
+    """A byte per record, 1 if anomalous; ValueError unless each of `aligned` has one per record."""
+    flags = bytes(map(is_, map(attrgetter("label"), corpus), repeat(Label.ANOMALOUS)))
+    if any(len(seq) != len(flags) for seq in aligned):
+        raise ValueError("the corpus and its per-record sequences differ in length")
+    return flags
+
+
+def _tally(anomalous: Iterable, normal: Iterable) -> Counter:
+    """{key: (anomalous, normal)} of two key streams in one Counter: anomalous occurrences count
+    _SPLIT, normal ones 1; divmod splits each sum into one pair per distinct sum, adding no key."""
+    counts = Counter(anomalous)
+    dict.update(counts, zip(counts, map(mul, counts.values(), repeat(_SPLIT))))
+    counts.update(normal)
+    dict.update(counts, zip(counts, map(cache(divmod), counts.values(), repeat(_SPLIT))))
+    return counts
 
 
 def build_count_table(
@@ -84,18 +101,23 @@ def build_count_table(
     """
     if attribute_scope not in ("global", "per-position"):
         raise ValueError(f"unknown attribute scope {attribute_scope!r}")
+    anomalous = anomalous_flags(corpus, assignment, attribute_sets, signatures)
+    normal = anomalous.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
-    template_counts: dict[int, CountPair] = {}
-    attribute_counts: dict[object, CountPair] = {}
-    context_counts: dict[ContextSignature, CountPair] = {}
-    table = CountTable(template_counts, attribute_counts, context_counts, attribute_scope)
-    for rec, tid, attrs, sig in zip(corpus, assignment, attribute_sets, signatures, strict=True):
-        anomalous = rec.label is Label.ANOMALOUS
-        _bump(template_counts, tid, anomalous)
-        _bump(context_counts, sig, anomalous)
-        for slot, token in enumerate(attrs):
-            _bump(attribute_counts, table.attribute_key(tid, slot, token), anomalous)
-    return table
+    def attribute_keys(kept: bytes) -> Iterable:
+        """The `attribute_key` of every token of the kept records."""
+        attrs = compress(attribute_sets, kept)
+        if attribute_scope == "global":
+            return chain.from_iterable(attrs)
+        tids = map(repeat, compress(compress(assignment, kept), compress(attribute_sets, kept)))
+        return chain.from_iterable(map(zip, tids, map(count, repeat(0)), filter(None, attrs)))
+
+    return CountTable(
+        _tally(compress(assignment, anomalous), compress(assignment, normal)),
+        _tally(attribute_keys(anomalous), attribute_keys(normal)),
+        _tally(compress(signatures, anomalous), compress(signatures, normal)),
+        attribute_scope,
+    )
 
 
 def score_corpus(
@@ -113,8 +135,9 @@ def score_corpus(
     or None when it has none. Raises ValueError when the four sequences
     differ in length. Keys repeat heavily and share few distinct count
     pairs, so each pair maps to the one Fraction of its value, and each
-    distinct trio of those objects to one ScoreTriple, found by identity.
+    distinct trio of those to one ScoreTriple.
     """
+    flags = anomalous_flags(corpus, assignment, attribute_sets, signatures)
     values: dict[Fraction, Fraction] = {}
 
     @cache
@@ -123,26 +146,20 @@ def score_corpus(
         value = Fraction(a, a + n)
         return values.setdefault(value, value)
 
-    @cache
-    def attribute_score(tid: int, attrs: TokenSequence) -> Fraction | None:
+    # (template score, attribute score, {context count pair: triple}) per
+    # distinct pair of scores; keyed by value, as equal values are one object.
+    shared_head, triple = cache(lambda t, a: (t, a, {})), cache(ScoreTriple)
+
+    def head(tid: int, attrs: TokenSequence) -> tuple[Fraction, Fraction | None, dict]:
         keys = (table.attribute_key(tid, slot, token) for slot, token in enumerate(attrs))
-        return max((fraction(table.attribute_counts[key]) for key in keys), default=None)
+        a = max((fraction(table.attribute_counts[key]) for key in keys), default=None)
+        return by_row.setdefault((tid, attrs), shared_head(fraction(table.template_counts[tid]), a))
 
-    triples: dict[tuple[int, int, int], ScoreTriple] = {}
-
-    def triple(a: Fraction, b: Fraction | None, c: Fraction) -> ScoreTriple:
-        key = (id(a), id(b), id(c))
-        if key not in triples:
-            triples[key] = ScoreTriple(a, b, c)
-        return triples[key]
-
-    rows = zip(corpus, assignment, attribute_sets, signatures, strict=True)
-    return {
-        index: triple(
-            fraction(table.template_counts[tid]),
-            attribute_score(tid, attrs),
-            fraction(table.context_counts[sig]),
-        )
-        for index, (rec, tid, attrs, sig) in enumerate(rows, start=1)
-        if include_normal or rec.label is Label.ANOMALOUS
-    }
+    # Only scored lines are visited, with no call once their row and pair were seen.
+    rows = zip(count(1), assignment, attribute_sets, signatures)
+    by_row, contexts, scores = {}, table.context_counts, {}
+    for index, tid, attrs, sig in rows if include_normal else compress(rows, flags):
+        t, a, by_pair = by_row.get((tid, attrs)) or head(tid, attrs)
+        pair = contexts[sig]
+        scores[index] = by_pair.get(pair) or by_pair.setdefault(pair, triple(t, a, fraction(pair)))
+    return scores

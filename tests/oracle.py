@@ -153,6 +153,89 @@ def naive_signature(assignment, index, before, after):
     return tuple(sorted(ids))
 
 
+def reference_parse(text, header_fields=1, label_field=0, normal_token="-", limit=None):
+    """Reference line parser: ([(label, content)], lines read, malformed lines).
+
+    Walks each line character by character. Lines end at "\n" only, and text
+    after the last one is a line when it is not empty. A line first loses
+    every leading U+FEFF. Then `header_fields` runs of non-whitespace
+    characters (`str.isspace`) are taken as fields, each after skipping
+    whitespace; a line with fewer is malformed. The content is the rest of
+    the line after the whitespace that follows the last field, less any
+    trailing "\r". Reading stops once `limit` records were parsed.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    records, lines_read, malformed = [], 0, 0
+    for line in lines:
+        if limit is not None and len(records) == limit:
+            break
+        lines_read += 1
+        pos = 0
+        while pos < len(line) and line[pos] == "\ufeff":
+            pos += 1
+        fields = []
+        for _ in range(header_fields):
+            while pos < len(line) and line[pos].isspace():
+                pos += 1
+            start = pos
+            while pos < len(line) and not line[pos].isspace():
+                pos += 1
+            if pos == start:
+                break
+            fields.append(line[start:pos])
+        if len(fields) < header_fields:
+            malformed += 1
+            continue
+        while pos < len(line) and line[pos].isspace():
+            pos += 1
+        content = line[pos:]
+        while content.endswith("\r"):
+            content = content[:-1]
+        label = Label.NORMAL if fields[label_field] == normal_token else Label.ANOMALOUS
+        records.append((label, content))
+    return records, lines_read, malformed
+
+
+def brute_force_views(corpus, templates, assignment, before=10, after=0):
+    """Each record's attribute tuple and context signature, by direct scans."""
+    template_tokens = {tid: t.tokens for tid, t in enumerate(templates, start=1)}
+    attrs = []
+    sigs = []
+    for i in range(1, len(corpus) + 1):
+        tid = assignment[i - 1]
+        attrs.append(naive_attributes(corpus[i - 1].tokens, template_tokens[tid]))
+        sigs.append(naive_signature(assignment, i, before, after))
+    return attrs, sigs
+
+
+def brute_force_counts(corpus, templates, assignment, before=10, after=0, attribute_scope="global"):
+    """Recount the table: ({tid: pair}, {attribute key: pair}, {signature: pair}).
+
+    A pair is (anomalous, normal) occurrences, counted by one full scan per
+    key of the three kinds. Attribute keys are tokens under "global" scope
+    and (tid, slot, token) under "per-position".
+    """
+    attrs, sigs = brute_force_views(corpus, templates, assignment, before, after)
+    labels = [rec.label for rec in corpus]
+    rows = []  # (kind, key, label), one per occurrence
+    for tid, attr, sig, label in zip(assignment, attrs, sigs, labels):
+        rows.append(("template", tid, label))
+        rows.append(("context", sig, label))
+        for slot, token in enumerate(attr):
+            key = token if attribute_scope == "global" else (tid, slot, token)
+            rows.append(("attribute", key, label))
+    tables = {"template": {}, "attribute": {}, "context": {}}
+    for kind, key, _ in rows:
+        if key in tables[kind]:
+            continue
+        same = [label for k, other, label in rows if k == kind and other == key]
+        anomalous = sum(1 for label in same if label is Label.ANOMALOUS)
+        tables[kind][key] = (anomalous, len(same) - anomalous)
+    return tables["template"], tables["attribute"], tables["context"]
+
+
 def brute_force_scores(
     corpus: tuple[LogRecord, ...],
     templates,
@@ -168,16 +251,8 @@ def brute_force_scores(
     miner (checked on its own against naive_mine); the three scores are
     recomputed independently.
     """
-    template_tokens = {tid: t.tokens for tid, t in enumerate(templates, start=1)}
     n = len(corpus)
-
-    attrs = []
-    sigs = []
-    for i in range(1, n + 1):
-        rec = corpus[i - 1]
-        tid = assignment[i - 1]
-        attrs.append(naive_attributes(rec.tokens, template_tokens[tid]))
-        sigs.append(naive_signature(assignment, i, before, after))
+    attrs, sigs = brute_force_views(corpus, templates, assignment, before, after)
 
     tpl_total: Counter = Counter()
     tpl_anom: Counter = Counter()

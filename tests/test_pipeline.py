@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -120,3 +121,38 @@ def test_traced_peak_grows_under_100_bytes_per_repeated_line(tmp_path):
     small = traced_peak_of_analysis(tmp_path, 20_000)
     large = traced_peak_of_analysis(tmp_path, 40_000)
     assert (large - small) / 20_000 < 100
+
+
+def traced_peak_of_distinct_lines(tmp_path, length):
+    """Peak traced bytes of reading and analyzing `length` lines of one
+    template that share no content, as most lines of a real dump do."""
+    path = tmp_path / f"distinct-{length}.log"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(length):
+            label = "ANOM" if i % 10 == 0 else "-"
+            fh.write(f"{label} session s{i}k for u{i}x from h{i}q port p{i}z on tty{i % 7}\n")
+    tracemalloc.start()
+    try:
+        corpus, _ = read_dataset(str(path))
+        analyze_corpus(corpus)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# Traced peak bytes per distinct line, measured per interpreter since object
+# sizes differ between versions. Each line adds its content, tokens,
+# attribute tuple and four attribute-table keys; the table is the largest
+# per-key one here and is built last among the big ones, so a transient
+# second copy of it adds 32 to 50 bytes per line, more than the margin.
+BYTES_PER_DISTINCT_LINE = {(3, 10): 1150, (3, 11): 1029, (3, 12): 697, (3, 13): 983}
+DISTINCT_LINE_MARGIN = 20
+
+
+def test_traced_peak_per_distinct_line_stays_within_its_margin(tmp_path):
+    measured = BYTES_PER_DISTINCT_LINE.get(
+        sys.version_info[:2], max(BYTES_PER_DISTINCT_LINE.values())
+    )
+    small = traced_peak_of_distinct_lines(tmp_path, 20_000)
+    large = traced_peak_of_distinct_lines(tmp_path, 40_000)
+    assert (large - small) / 20_000 < measured + DISTINCT_LINE_MARGIN

@@ -1,13 +1,17 @@
 """Randomized invariants over the whole pipeline."""
 
+import os
+import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_force_scores, naive_mine, naive_signature
+from oracle import brute_force_counts, brute_force_scores, naive_mine, naive_signature, reference_parse
 from logtaxon import templating
 from logtaxon.context import ContextBounds, build_all_contexts
+from logtaxon.ingest import DatasetFormat, read_dataset
 from logtaxon.model import AnomalyKind, Label, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
@@ -274,19 +278,68 @@ def test_report_rows_partition_the_scored_set(scores):
             assert 0 <= kind_count <= len(scores)
 
 
-@settings(max_examples=40, deadline=None)
-@given(labeled_lines, st.integers(0, 4), st.integers(0, 3))
-def test_pipeline_scores_match_brute_force(lines, before, after):
+@settings(max_examples=80, deadline=None)
+@given(
+    labeled_lines,
+    st.integers(0, 4),
+    st.integers(0, 3),
+    st.sampled_from(["global", "per-position"]),
+    st.booleans(),
+)
+def test_pipeline_scores_match_brute_force(lines, before, after, scope, include_normal):
     corpus = corpus_from(lines)
-    analysis = analyze_corpus(corpus, bounds=ContextBounds(before, after))
-    expected = brute_force_scores(
-        analysis.corpus, analysis.mining.templates, analysis.mining.assignment, before, after
+    analysis = analyze_corpus(
+        corpus,
+        bounds=ContextBounds(before, after),
+        attribute_scope=scope,
+        include_normal_scores=include_normal,
     )
+    mined = (analysis.corpus, analysis.mining.templates, analysis.mining.assignment, before, after)
+    expected = brute_force_scores(*mined, scope, include_normal)
     got = {
         i: (s.template_score, s.attribute_score, s.context_score)
         for i, s in analysis.scores.items()
     }
     assert got == expected
+    table = analysis.table
+    counts = (table.template_counts, table.attribute_counts, table.context_counts)
+    assert counts == brute_force_counts(*mined, scope)
+
+
+# Header fields, labels and content words, whitespace that str.split breaks
+# on (tab, vertical tab, ideographic space and a lone carriage return), and
+# byte-order marks, in any order: blank, header-only and short lines arise.
+line_pieces = st.sampled_from(
+    ["-", "ANOM", "a", "b7", "h1 h2 h3 h4 ", " ", "  ", "\t", "\x0b", "\u3000", "\r", "\ufeff"]
+)
+dataset_texts = st.tuples(
+    st.lists(st.lists(line_pieces, max_size=16).map("".join), max_size=12).map("\n".join),
+    st.sampled_from(["", "\n", "\r\n"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dataset_texts,
+    st.sampled_from([1, 2, 8]).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, w - 1))),
+    st.sampled_from(["-", "a"]),
+    st.none() | st.integers(1, 6),
+)
+def test_read_dataset_matches_the_reference_parser(text, layout, normal, limit):
+    width, label_field = layout
+    expected, lines_read, malformed = reference_parse(text, width, label_field, normal, limit)
+    fmt = DatasetFormat(header_fields=width, label_field=label_field, normal_token=normal)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.log")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        if not expected:
+            with pytest.raises(ValueError, match="empty corpus"):
+                read_dataset(path, fmt, limit)
+            return
+        corpus, summary = read_dataset(path, fmt, limit)
+    assert [(rec.label, rec.content) for rec in corpus] == expected
+    assert (summary.lines_read, summary.malformed_skipped) == (lines_read, malformed)
 
 
 @settings(max_examples=25, deadline=None)

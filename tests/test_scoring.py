@@ -216,6 +216,28 @@ def test_stages_check_alignment(stage):
         stage(labeled("A", "N"))
 
 
+ALIGNED_TABLE = CountTable({1: (2, 1)}, {"x": (2, 1)}, {(): (2, 1)})
+MISALIGNED_STAGES = {
+    "count-global": lambda c, a, s, g: build_count_table(c, a, s, g),
+    "count-per-position": lambda c, a, s, g: build_count_table(c, a, s, g, "per-position"),
+    "score-anomalous": lambda c, a, s, g: score_corpus(c, ALIGNED_TABLE, a, s, g),
+    "score-all": lambda c, a, s, g: score_corpus(c, ALIGNED_TABLE, a, s, g, include_normal=True),
+}
+
+
+@pytest.mark.parametrize("stage", MISALIGNED_STAGES)
+@pytest.mark.parametrize("which", ["assignment", "attribute_sets", "signatures"])
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_count_and_score_reject_every_misaligned_input(stage, which, change):
+    # The last record is anomalous, so a loop that stopped at the shortest
+    # input would still count or score something rather than fail.
+    corpus = labeled("N", "A", "A")
+    inputs = {"assignment": [1, 1, 1], "attribute_sets": [("x",)] * 3, "signatures": [()] * 3}
+    inputs[which] = inputs[which][:change] if change < 0 else inputs[which] + inputs[which][:1]
+    with pytest.raises(ValueError):
+        MISALIGNED_STAGES[stage](corpus, *inputs.values())
+
+
 def test_build_count_table_rejects_unknown_scope():
     corpus = labeled("A")
     with pytest.raises(ValueError):
