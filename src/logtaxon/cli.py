@@ -22,9 +22,9 @@ from .ingest import (
     read_dataset,
     write_dataset,
 )
-from .pipeline import Analysis, analyze_corpus
+from .pipeline import Analysis, analyze_corpus, anomalous_flags
 from .report import DEFAULT_THRESHOLDS, ThresholdSweep
-from .scoring import AttributeScope, ScoreTriple, anomalous_flags
+from .scoring import AttributeScope, ScoreTriple
 from .templating import DEFAULT_MASK_RULES, MinerConfig, load_mask_rules, save_forest
 
 OUT_DIR_ENV = "LOGTAXON_OUT_DIR"

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, count, repeat
-from operator import attrgetter, is_, mul
+from operator import mul
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .context import ContextSignature
-from .model import Label, LogRecord, TokenSequence
+from .model import TokenSequence
 
 # (anomalous, normal) observation counts.
 CountPair = tuple[int, int]
@@ -36,14 +36,6 @@ class ScoreTriple:
     template_score: Fraction
     attribute_score: Fraction | None
     context_score: Fraction
-
-    def as_floats(self) -> tuple[float, float | None, float]:
-        """The scores as plain reals in [0, 1]; absent attribute stays None."""
-        return (
-            float(self.template_score),
-            None if self.attribute_score is None else float(self.attribute_score),
-            float(self.context_score),
-        )
 
 
 @dataclass(frozen=True)
@@ -67,12 +59,9 @@ class CountTable:
         return (template_id, slot, token)
 
 
-def anomalous_flags(corpus: Sequence[LogRecord], *aligned: Sequence) -> bytes:
-    """A byte per record, 1 if anomalous; ValueError unless each of `aligned` has one per record."""
-    flags = bytes(map(is_, map(attrgetter("label"), corpus), repeat(Label.ANOMALOUS)))
-    if any(len(seq) != len(flags) for seq in aligned):
-        raise ValueError("the corpus and its per-record sequences differ in length")
-    return flags
+def _check_aligned(anomalous: bytes, *columns: Sequence) -> None:
+    if any(len(column) != len(anomalous) for column in columns):
+        raise ValueError("the label column and the other per-line columns differ in length")
 
 
 def _tally(anomalous: Iterable, normal: Iterable) -> Counter:
@@ -86,7 +75,7 @@ def _tally(anomalous: Iterable, normal: Iterable) -> Counter:
 
 
 def build_count_table(
-    corpus: Sequence[LogRecord],
+    anomalous: bytes,
     assignment: Sequence[int],
     attribute_sets: Sequence[TokenSequence],
     signatures: Sequence[ContextSignature],
@@ -94,14 +83,15 @@ def build_count_table(
 ) -> CountTable:
     """Count every template, attribute-token, and signature occurrence by label.
 
-    Counting is per occurrence: a token repeated in one message's attribute
-    set contributes once per repetition, and every message contributes one
+    `anomalous` holds one byte per line, 1 for an anomalous one. Counting is
+    per occurrence: a token repeated in one message's attribute set
+    contributes once per repetition, and every message contributes one
     observation of its template and of its signature. Raises ValueError when
-    the four sequences differ in length.
+    the four columns differ in length.
     """
     if attribute_scope not in ("global", "per-position"):
         raise ValueError(f"unknown attribute scope {attribute_scope!r}")
-    anomalous = anomalous_flags(corpus, assignment, attribute_sets, signatures)
+    _check_aligned(anomalous, assignment, attribute_sets, signatures)
     normal = anomalous.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
     def attribute_keys(kept: bytes) -> Iterable:
@@ -121,33 +111,32 @@ def build_count_table(
 
 
 def score_corpus(
-    corpus: Sequence[LogRecord],
+    anomalous: bytes,
     table: CountTable,
     assignment: Sequence[int],
     attribute_sets: Sequence[TokenSequence],
     signatures: Sequence[ContextSignature],
     include_normal: bool = False,
 ) -> dict[int, ScoreTriple]:
-    """Score triple per 1-based corpus position, anomalous records only by default.
+    """Score triple per 1-based line position, anomalous lines only by default.
 
     Each score is the anomalous share of its key's occurrences in the table;
     the attribute score is the maximum over the message's attribute tokens,
-    or None when it has none. Raises ValueError when the four sequences
+    or None when it has none. Raises ValueError when the four columns
     differ in length. Keys repeat heavily and share few distinct count
-    pairs, so each pair maps to the one Fraction of its value, and each
-    distinct trio of those to one ScoreTriple.
+    pairs, so each pair maps to one Fraction, and each distinct trio of
+    score values to one ScoreTriple.
     """
-    flags = anomalous_flags(corpus, assignment, attribute_sets, signatures)
-    values: dict[Fraction, Fraction] = {}
+    _check_aligned(anomalous, assignment, attribute_sets, signatures)
 
     @cache
     def fraction(pair: CountPair) -> Fraction:
         a, n = pair
-        value = Fraction(a, a + n)
-        return values.setdefault(value, value)
+        return Fraction(a, a + n)
 
     # (template score, attribute score, {context count pair: triple}) per
-    # distinct pair of scores; keyed by value, as equal values are one object.
+    # distinct pair of scores; keyed by value, so that equal scores from
+    # different count pairs still share one triple.
     shared_head, triple = cache(lambda t, a: (t, a, {})), cache(ScoreTriple)
 
     def head(tid: int, attrs: TokenSequence) -> tuple[Fraction, Fraction | None, dict]:
@@ -158,7 +147,7 @@ def score_corpus(
     # Only scored lines are visited, with no call once their row and pair were seen.
     rows = zip(count(1), assignment, attribute_sets, signatures)
     by_row, contexts, scores = {}, table.context_counts, {}
-    for index, tid, attrs, sig in rows if include_normal else compress(rows, flags):
+    for index, tid, attrs, sig in rows if include_normal else compress(rows, anomalous):
         t, a, by_pair = by_row.get((tid, attrs)) or head(tid, attrs)
         pair = contexts[sig]
         scores[index] = by_pair.get(pair) or by_pair.setdefault(pair, triple(t, a, fraction(pair)))

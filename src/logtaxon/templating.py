@@ -24,10 +24,6 @@ WILDCARD = "*"
 _HAS_DIGIT = re.compile(r"\d")
 
 
-# Inline global flags such as (?i), which must stay at the very start of a pattern.
-_LEADING_FLAGS = re.compile(r"(?:\(\?[aiLmsux]+\))*")
-
-
 # A reference to a pattern group in a replacement: `\g<name>` or `\g<N>`.
 _GROUP_REF = re.compile(r"\\g<([^<>]*)>")
 
@@ -50,12 +46,8 @@ class MaskRule:
 
     @cached_property
     def regex(self) -> re.Pattern[str]:
-        """`pattern` anchored at both ends, so it matches and rewrites whole tokens only."""
-        # Compiled alone first: "a)|(b" is invalid, yet would compile once wrapped.
-        verbose = re.compile(self.pattern).flags & re.VERBOSE
-        flags = _LEADING_FLAGS.match(self.pattern).group()
-        body = self.pattern[len(flags) :] + ("\n" if verbose else "")  # ends a trailing comment
-        return re.compile(rf"{flags}\A(?:{body})\Z")
+        """`pattern` compiled; the masker calls its `fullmatch`, so it rewrites whole tokens only."""
+        return re.compile(self.pattern)
 
     @cached_property
     def pieces(self) -> tuple[str | int, ...]:
@@ -125,12 +117,12 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
 def _masker(rules: Sequence[MaskRule]) -> Callable[[str], str]:
     """A memoized function from a raw token to its masked form: the token
     rewritten by the first matching rule, or unchanged; interned."""
-    compiled = [(rule.regex.match, rule.pieces) for rule in rules]
+    compiled = [(rule.regex.fullmatch, rule.pieces) for rule in rules]
 
     @cache
     def mask(token: str) -> str:
-        for match, pieces in compiled:
-            m = match(token)
+        for fullmatch, pieces in compiled:
+            m = fullmatch(token)
             if m is not None:
                 return intern("".join([(m[p] or "") if type(p) is int else p for p in pieces]))
         return intern(token)
@@ -203,10 +195,6 @@ class Template:
     """A mined token pattern; wildcard positions hold WILDCARD ("*")."""
 
     tokens: TokenSequence
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
 
     @property
     def wildcard_positions(self) -> tuple[int, ...]:
@@ -372,7 +360,7 @@ class _Forest:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Frozen templates plus the per-record template id, aligned with corpus order.
+    """Frozen templates plus the per-line template id, in line order.
 
     Template id `tid` names `templates[tid - 1]`.
     """
@@ -381,18 +369,16 @@ class MiningResult:
     assignment: tuple[int, ...]
 
 
-def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = None) -> MiningResult:
-    """Mine templates over a tokenized corpus and assign one id per record.
+def mine_templates(
+    sequences: Sequence[TokenSequence], config: MinerConfig | None = None
+) -> MiningResult:
+    """Mine templates over each line's masked token tuple and assign one id per line.
 
-    Deterministic for a fixed corpus order and config.
+    Deterministic for a fixed line order and config.
     """
     config = config or MinerConfig()
-    token_lists = [rec.tokens for rec in corpus]
-    if None in token_lists:
-        raise ValueError(f"record {token_lists.index(None) + 1} is not tokenized")
-
     forest = _Forest(config)
-    for tokens in token_lists:  # order-dependent tree growth, keep sequential
+    for tokens in sequences:  # order-dependent tree growth, keep sequential
         forest.learn(tokens)
 
     # The forest is frozen now, so every copy of a sequence gets the same id. A
@@ -400,39 +386,35 @@ def mine_templates(corpus: Sequence[LogRecord], config: MinerConfig | None = Non
     # is as that call left it, `learn`'s memo shows the full step would pick
     # that id, and pass 2's walk reaches the leaf that pass 1's greedy walk did.
     ids = {}
-    for tokens in dict.fromkeys(token_lists):
+    for tokens in dict.fromkeys(sequences):
         epoch, tid = forest.memo.get(tokens, (None, 0))
         ids[tokens] = tid if epoch == forest.epoch else forest.assign(tokens)
-    assignment = tuple(map(ids.__getitem__, token_lists))
+    assignment = tuple(map(ids.__getitem__, sequences))
     templates = tuple(Template(tuple(map(intern, tokens))) for tokens in forest.templates)
     return MiningResult(templates, assignment)
 
 
 def attributes_for_corpus(
-    corpus: Sequence[LogRecord], mining: MiningResult
+    sequences: Sequence[TokenSequence], mining: MiningResult
 ) -> tuple[TokenSequence, ...]:
-    """Each record's tokens at its template's wildcard positions, aligned with corpus order.
+    """Each line's masked tokens at its template's wildcard positions, in line order.
 
-    Records of one masked sequence and template share one attribute tuple.
-    Raises ValueError when the assignment and the corpus differ in length.
+    Lines of one masked sequence and template share one attribute tuple.
+    Raises ValueError when the assignment and the sequences differ in length.
     """
     # Per template id: its length, wildcard positions and {sequence: attributes};
     # a dict, so that an id outside 1..len(templates) raises KeyError.
     templates = enumerate(mining.templates, start=1)
     shapes = {tid: (len(t.tokens), t.wildcard_positions, {}) for tid, t in templates}
     attribute_sets: list[TokenSequence] = []
-    for rec, tid in zip(corpus, mining.assignment, strict=True):
-        tokens = rec.tokens
+    for tokens, tid in zip(sequences, mining.assignment, strict=True):
         length, wildcards, seen = shapes[tid]
         attrs = seen.get(tokens)
         if attrs is None:
-            index = len(attribute_sets) + 1
-            if tokens is None:
-                raise ValueError(f"record {index} is not tokenized")
             if len(tokens) != length:
                 raise RuntimeError(
-                    f"record {index} has {len(tokens)} tokens but template {tid} has "
-                    f"{length}; the miner must keep lengths equal"
+                    f"line {len(attribute_sets) + 1} has {len(tokens)} tokens but template "
+                    f"{tid} has {length}; the miner must keep lengths equal"
                 )
             attrs = seen[tokens] = tuple(map(tokens.__getitem__, wildcards))
         attribute_sets.append(attrs)

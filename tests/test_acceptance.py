@@ -123,13 +123,11 @@ def test_criterion_2_hand_worked_examples():
         LogRecord(Label.NORMAL, "Start mail service at node wally001"),
         LogRecord(Label.NORMAL, "Start printer service at node wally005"),
     ]
-    corpus = tokenize_corpus(records)
-    mining = mine_templates(corpus)
-    template_ok = (
-        len(mining.templates) == 1
-        and mining.templates[0].text == "Start * service at node *"
-    )
-    attrs = list(attributes_for_corpus(corpus, mining))
+    sequences = [rec.tokens for rec in tokenize_corpus(records)]
+    mining = mine_templates(sequences)
+    template = " ".join(mining.templates[0].tokens)
+    template_ok = len(mining.templates) == 1 and template == "Start * service at node *"
+    attrs = list(attributes_for_corpus(sequences, mining))
     attrs_ok = attrs == [("mail", "wally001"), ("printer", "wally005")]
 
     # A ten-message window example: two back, one forward around message 10
@@ -141,7 +139,7 @@ def test_criterion_2_hand_worked_examples():
     verdict(
         "criterion 2 (hand-worked template/attribute/context examples)",
         template_ok and attrs_ok and context_ok,
-        f"template={mining.templates[0].text!r}, attrs={attrs}, window={sig}",
+        f"template={template!r}, attrs={attrs}, window={sig}",
     )
 
 
@@ -276,7 +274,7 @@ def test_criterion_4_spirit():
     top_two = sorted(counts.values(), reverse=True)[:2]
     cover = 100.0 * sum(top_two) / anomalous if anomalous else 0.0
     texts = {
-        analysis.mining.templates[tid - 1].text
+        " ".join(analysis.mining.templates[tid - 1].tokens)
         for tid, c in counts.items()
         if c in top_two and c > 0
     }

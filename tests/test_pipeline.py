@@ -85,15 +85,6 @@ def test_config_echo_reflects_parameters():
     assert "threads" not in json.dumps(analysis.report.to_json_dict()["config"]).lower()
 
 
-def test_score_triple_float_view():
-    corpus, _ = generate_synthetic(spec_with_one_failure_template())
-    analysis = analyze_corpus(corpus)
-    triple = next(iter(analysis.scores.values()))
-    floats = triple.as_floats()
-    assert floats[0] == float(triple.template_score)
-    assert all(f is None or 0.0 <= f <= 1.0 for f in floats)
-
-
 def traced_peak_of_analysis(tmp_path, length):
     """Peak traced bytes of reading and analyzing the demo corpus of `length` lines."""
     spec = SyntheticSpec(

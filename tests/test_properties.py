@@ -1,8 +1,10 @@
 """Randomized invariants over the whole pipeline."""
 
 import os
+import re
 import tempfile
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from logtaxon import templating
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.ingest import DatasetFormat, read_dataset
 from logtaxon.model import AnomalyKind, Label, LogRecord
-from logtaxon.pipeline import analyze_corpus
+from logtaxon.pipeline import analyze_corpus, anomalous_flags
 from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
 from logtaxon.templating import (
@@ -106,7 +108,8 @@ raw_tokens = st.text("0123456789abcdefxX.=_-+q", min_size=1, max_size=10) | st.l
 def mask_rules(draw):
     """A rule of one to three groups, each named or numbered and each optional
     or not, then an ungrouped tail; its replacement mixes literal text with
-    references to any of the groups, the whole match included."""
+    references to any of the groups, the whole match included. The pattern
+    may start with an inline flag: (?i), or (?x) with a trailing comment."""
     pattern, references = "", ["0"]
     groups = st.tuples(
         st.booleans(), st.sampled_from(["[a-f]+=", r"\d+", "[a-f0-9]", "x"]), st.booleans()
@@ -117,6 +120,8 @@ def mask_rules(draw):
         pattern += (f"(?P<{name}>{body})" if named else f"({body})") + ("?" if optional else "")
         references += [str(number), name] if named else [str(number)]
     pattern += draw(st.sampled_from(["", "[a-f]*", r"\.\d"]))
+    flag = draw(st.sampled_from(["", "(?i)", "(?x)"]))
+    pattern = flag + pattern + ("  # a comment" if flag == "(?x)" else "")
     literals = st.sampled_from(["<:M:>", "=", "{}", "%s", "<"])
     references = st.sampled_from(references).map(lambda ref: rf"\g<{ref}>")
     replacement = "".join(draw(st.lists(literals | references, min_size=1, max_size=4)))
@@ -126,9 +131,9 @@ def mask_rules(draw):
 def re_mask(rules, token):
     """The token rewritten by `re` under the first rule that matches it whole."""
     for rule in rules:
-        masked, matched = rule.regex.subn(rule.replacement, token)
-        if matched:
-            return masked
+        match = re.fullmatch(rule.pattern, token)
+        if match:
+            return match.expand(rule.replacement)
     return token
 
 
@@ -151,31 +156,27 @@ def test_tokenize_yields_whitespace_free_tokens(text):
 
 @given(labeled_lines)
 def test_mining_assigns_every_record_a_valid_template(lines):
-    corpus = corpus_from(lines)
-    mining = mine_templates(corpus)
-    assert len(mining.assignment) == len(corpus)
+    sequences = [rec.tokens for rec in corpus_from(lines)]
+    mining = mine_templates(sequences)
+    assert len(mining.assignment) == len(sequences)
     assert set(mining.assignment) <= set(range(1, len(mining.templates) + 1))
-    for rec, tid in zip(corpus, mining.assignment):
-        assert len(mining.templates[tid - 1].tokens) == len(rec.tokens)
+    for tokens, tid in zip(sequences, mining.assignment):
+        assert len(mining.templates[tid - 1].tokens) == len(tokens)
 
 
 @settings(max_examples=200, deadline=None)
 @given(tree_lines, st.integers(2, 6), st.integers(2, 5))
 def test_mining_never_raises_at_any_tree_shape(lines, depth, max_children):
-    corpus = corpus_from(lines)
-    mining = mine_templates(corpus, MinerConfig(tree_depth=depth, max_children=max_children))
-    for rec, tid in zip(corpus, mining.assignment):
-        assert len(mining.templates[tid - 1].tokens) == len(rec.tokens)
-
-
-def pre_tokenized(token_lists):
-    return tuple(LogRecord(Label.NORMAL, " ".join(tokens), tokens) for tokens in token_lists)
+    sequences = [rec.tokens for rec in corpus_from(lines)]
+    mining = mine_templates(sequences, MinerConfig(tree_depth=depth, max_children=max_children))
+    for tokens, tid in zip(sequences, mining.assignment):
+        assert len(mining.templates[tid - 1].tokens) == len(tokens)
 
 
 @settings(max_examples=1000, deadline=None)
 @given(miner_inputs, tree_shapes)
 def test_mining_matches_the_naive_reference_miner(token_lists, config):
-    mining = mine_templates(pre_tokenized(token_lists), config)
+    mining = mine_templates(token_lists, config)
     templates, assignment = naive_mine(
         token_lists, config.tree_depth, config.similarity_threshold, config.max_children
     )
@@ -186,7 +187,7 @@ def test_mining_matches_the_naive_reference_miner(token_lists, config):
 @settings(max_examples=500, deadline=None)
 @given(repetitive_inputs, tree_shapes)
 def test_mining_repeated_sequences_matches_the_naive_reference_miner(token_lists, config):
-    mining = mine_templates(pre_tokenized(token_lists), config)
+    mining = mine_templates(token_lists, config)
     templates, assignment = naive_mine(
         token_lists, config.tree_depth, config.similarity_threshold, config.max_children
     )
@@ -230,8 +231,7 @@ def test_template_score_is_exact_fraction(anomalous, normal):
     if anomalous + normal == 0:
         return
     table = CountTable({1: (anomalous, normal)}, {}, {(): (1, 0)})
-    one = (LogRecord(Label.ANOMALOUS, "", ()),)
-    score = score_corpus(one, table, [1], ((),), ((),))[1].template_score
+    score = score_corpus(b"\1", table, [1], ((),), ((),))[1].template_score
     assert score == Fraction(anomalous, anomalous + normal)
     assert 0 <= score <= 1
 
@@ -301,6 +301,10 @@ def test_pipeline_scores_match_brute_force(lines, before, after, scope, include_
         for i, s in analysis.scores.items()
     }
     assert got == expected
+    # The report filter: of a map over every line, the scores of anomalous lines.
+    anomalous = anomalous_flags(analysis.corpus)
+    everything = brute_force_scores(*mined, scope, True)
+    assert dict(compress(everything.items(), anomalous)) == brute_force_scores(*mined, scope)
     table = analysis.table
     counts = (table.template_counts, table.attribute_counts, table.context_counts)
     assert counts == brute_force_counts(*mined, scope)

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from logtaxon.context import ContextBounds, build_all_contexts
-from logtaxon.model import Label, LogRecord
 from logtaxon.scoring import CountTable, ScoreTriple, build_count_table, score_corpus
 from logtaxon.templating import MiningResult, Template, attributes_for_corpus
 
@@ -11,16 +10,14 @@ NO_CONTEXT = ()
 
 
 def labeled(*labels):
-    """Corpus whose records only carry labels ('A'/'N'); content is irrelevant."""
-    return tuple(
-        LogRecord(Label.ANOMALOUS if ch == "A" else Label.NORMAL, "", tokens=()) for ch in labels
-    )
+    """The label column of lines labeled 'A' (anomalous) or 'N' (normal)."""
+    return bytes(ch == "A" for ch in labels)
 
 
-def table_for(corpus, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
-    attribute_sets = attribute_sets or ((),) * len(corpus)
+def table_for(labels, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
+    attribute_sets = attribute_sets or ((),) * len(labels)
     signatures = build_all_contexts(assignment, bounds)
-    return build_count_table(corpus, assignment, attribute_sets, signatures, scope), signatures
+    return build_count_table(labels, assignment, attribute_sets, signatures, scope), signatures
 
 
 def score_one(table, template_id=1, attributes=(), signature=NO_CONTEXT):
@@ -28,11 +25,11 @@ def score_one(table, template_id=1, attributes=(), signature=NO_CONTEXT):
     return score_corpus(labeled("A"), table, [template_id], (attributes,), (signature,))[1]
 
 
-def scores_for(corpus, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
-    """Counts and scores every record of a corpus, normal ones included."""
-    attribute_sets = attribute_sets or ((),) * len(corpus)
-    table, sigs = table_for(corpus, assignment, attribute_sets, bounds, scope)
-    scores = score_corpus(corpus, table, assignment, attribute_sets, sigs, include_normal=True)
+def scores_for(labels, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
+    """Counts and scores every line, normal ones included."""
+    attribute_sets = attribute_sets or ((),) * len(labels)
+    table, sigs = table_for(labels, assignment, attribute_sets, bounds, scope)
+    scores = score_corpus(labels, table, assignment, attribute_sets, sigs, include_normal=True)
     return table, sigs, scores
 
 
@@ -50,8 +47,8 @@ def test_template_score_mixed():
 
 
 def test_template_score_counts_from_corpus():
-    corpus = labeled("A", "A", "N")
-    table, _, scores = scores_for(corpus, [4, 4, 4])
+    labels = labeled("A", "A", "N")
+    table, _, scores = scores_for(labels, [4, 4, 4])
     assert table.template_counts[4] == (2, 1)
     assert scores[1].template_score == Fraction(2, 3)
 
@@ -82,23 +79,23 @@ def test_attribute_score_absent_without_attributes():
 
 def test_attribute_counting_is_per_occurrence():
     # 'x' twice in one anomalous message and once in a normal one: 2/3, not 1/2.
-    corpus = labeled("A", "N")
-    table, _, scores = scores_for(corpus, [1, 1], attribute_sets=(("x", "x"), ("x", "y")))
+    labels = labeled("A", "N")
+    table, _, scores = scores_for(labels, [1, 1], attribute_sets=(("x", "x"), ("x", "y")))
     assert table.attribute_counts["x"] == (2, 1)
     assert scores[1].attribute_score == Fraction(2, 3)
 
 
 def test_attribute_scope_global_pools_across_templates():
-    corpus = labeled("A", "N", "N")
-    _, _, scores = scores_for(corpus, [1, 1, 2], attribute_sets=(("x",), ("x",), ("x",)))
+    labels = labeled("A", "N", "N")
+    _, _, scores = scores_for(labels, [1, 1, 2], attribute_sets=(("x",), ("x",), ("x",)))
     assert scores[1].attribute_score == Fraction(1, 3)
     assert scores[3].attribute_score == Fraction(1, 3)
 
 
 def test_attribute_scope_per_position_separates_slots():
-    corpus = labeled("A", "N", "N")
+    labels = labeled("A", "N", "N")
     table, _, scores = scores_for(
-        corpus,
+        labels,
         [1, 1, 2],
         attribute_sets=(("x",), ("x",), ("x",)),
         scope="per-position",
@@ -127,8 +124,8 @@ def test_inserted_message_gets_unique_context():
     # Templates cycle 1,2,3; one extra message (template 4) lands at
     # position 5 and is the only record seeing {1,2,3} around itself.
     assignment = [1, 2, 3, 1, 4, 2, 3, 1, 2, 3]
-    corpus = labeled("N", "N", "N", "N", "A", "N", "N", "N", "N", "N")
-    table, sigs, scores = scores_for(corpus, assignment, bounds=ContextBounds(before=2, after=1))
+    labels = labeled("N", "N", "N", "N", "A", "N", "N", "N", "N", "N")
+    table, sigs, scores = scores_for(labels, assignment, bounds=ContextBounds(before=2, after=1))
     expected = [
         (2,),
         (1, 3),
@@ -154,22 +151,22 @@ def test_context_score_unknown_signature():
         score_one(table, signature=(1,))
 
 
-# --- whole-corpus scoring ------------------------------------------------------
+# --- whole-column scoring ------------------------------------------------------
 
 
 def test_score_corpus_covers_anomalous_records_only():
-    corpus = labeled("N", "A", "N", "A")
-    table, sigs = table_for(corpus, [1, 1, 2, 2])
-    scores = score_corpus(corpus, table, [1, 1, 2, 2], ((),) * 4, sigs)
+    labels = labeled("N", "A", "N", "A")
+    table, sigs = table_for(labels, [1, 1, 2, 2])
+    scores = score_corpus(labels, table, [1, 1, 2, 2], ((),) * 4, sigs)
     assert sorted(scores) == [2, 4]
     assert scores[2].template_score == Fraction(1, 2)
     assert scores[2].attribute_score is None
 
 
 def test_score_corpus_include_normal():
-    corpus = labeled("N", "A")
-    table, sigs = table_for(corpus, [1, 1])
-    scores = score_corpus(corpus, table, [1, 1], ((), ()), sigs, include_normal=True)
+    labels = labeled("N", "A")
+    table, sigs = table_for(labels, [1, 1])
+    scores = score_corpus(labels, table, [1, 1], ((), ()), sigs, include_normal=True)
     assert sorted(scores) == [1, 2]
 
 
@@ -185,10 +182,10 @@ def test_equal_triples_from_equal_count_pairs_are_one_object():
 
 
 def test_count_conservation():
-    corpus = labeled("A", "N", "A", "N", "N")
+    labels = labeled("A", "N", "A", "N", "N")
     assignment = [1, 2, 1, 2, 1]
     attrs = (("p",), ("q",), ("p",), ("p",), ("q",))
-    table, sigs = table_for(corpus, assignment, attribute_sets=attrs)
+    table, sigs = table_for(labels, assignment, attribute_sets=attrs)
     for counts, total in [
         (table.template_counts, 5),
         (table.context_counts, 5),
@@ -196,18 +193,18 @@ def test_count_conservation():
     ]:
         assert sum(a + n for a, n in counts.values()) == total
     anom = sum(a for a, _ in table.template_counts.values())
-    assert anom == sum(rec.label is Label.ANOMALOUS for rec in corpus)
+    assert anom == sum(labels)
 
 
-# Each stage is given two records but a one-entry assignment.
+# Each stage is given two lines but a one-entry assignment.
 @pytest.mark.parametrize(
     "stage",
     [
-        lambda corpus: build_count_table(corpus, [1], ((), ()), ((), ())),
-        lambda corpus: score_corpus(
-            corpus, CountTable({1: (1, 1)}, {}, {(): (1, 1)}), [1], ((), ()), ((), ())
+        lambda labels: build_count_table(labels, [1], ((), ()), ((), ())),
+        lambda labels: score_corpus(
+            labels, CountTable({1: (1, 1)}, {}, {(): (1, 1)}), [1], ((), ()), ((), ())
         ),
-        lambda corpus: attributes_for_corpus(corpus, MiningResult((Template(()),), (1,))),
+        lambda labels: attributes_for_corpus(((), ()), MiningResult((Template(()),), (1,))),
     ],
     ids=["build_count_table", "score_corpus", "attributes_for_corpus"],
 )
@@ -226,19 +223,22 @@ MISALIGNED_STAGES = {
 
 
 @pytest.mark.parametrize("stage", MISALIGNED_STAGES)
-@pytest.mark.parametrize("which", ["assignment", "attribute_sets", "signatures"])
+@pytest.mark.parametrize("which", ["anomalous", "assignment", "attribute_sets", "signatures"])
 @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
 def test_count_and_score_reject_every_misaligned_input(stage, which, change):
-    # The last record is anomalous, so a loop that stopped at the shortest
+    # The last line is anomalous, so a loop that stopped at the shortest
     # input would still count or score something rather than fail.
-    corpus = labeled("N", "A", "A")
-    inputs = {"assignment": [1, 1, 1], "attribute_sets": [("x",)] * 3, "signatures": [()] * 3}
+    inputs = {
+        "anomalous": labeled("N", "A", "A"),
+        "assignment": [1, 1, 1],
+        "attribute_sets": [("x",)] * 3,
+        "signatures": [()] * 3,
+    }
     inputs[which] = inputs[which][:change] if change < 0 else inputs[which] + inputs[which][:1]
     with pytest.raises(ValueError):
-        MISALIGNED_STAGES[stage](corpus, *inputs.values())
+        MISALIGNED_STAGES[stage](*inputs.values())
 
 
 def test_build_count_table_rejects_unknown_scope():
-    corpus = labeled("A")
     with pytest.raises(ValueError):
-        build_count_table(corpus, [1], ((),), ((),), "per-template")
+        build_count_table(labeled("A"), [1], ((),), ((),), "per-template")

@@ -23,13 +23,23 @@ from logtaxon.templating import (
 )
 
 
-def corpus_of(*lines):
-    """Build a tokenized corpus; prefix a line with '!' to mark it anomalous."""
+def sequences_of(*lines):
+    """Each line's masked token tuple, through tokenize_corpus; a line
+    prefixed with '!' is tokenized as an anomalous record."""
     records = []
     for line in lines:
         label = Label.ANOMALOUS if line.startswith("!") else Label.NORMAL
         records.append(LogRecord(label, line.lstrip("!")))
-    return tokenize_corpus(records)
+    return tuple(rec.tokens for rec in tokenize_corpus(records))
+
+
+def templates_of(mining):
+    return [t.tokens for t in mining.templates]
+
+
+def split(*texts):
+    """The token tuple of each space-separated text."""
+    return [tuple(text.split()) for text in texts]
 
 
 # --- masking ---------------------------------------------------------------
@@ -186,8 +196,7 @@ def test_load_mask_rules_rejects_non_list(tmp_path):
 def test_equal_masked_sequences_share_one_tuple():
     # Lines 1 and 2 are the same content; line 3 differs only in a number,
     # so it masks to the same sequence; line 4 masks differently.
-    corpus = corpus_of("retry 17 of 255", "!retry 17 of 255", "retry 3 of 9", "retry of 9")
-    tokens = [rec.tokens for rec in corpus]
+    tokens = sequences_of("retry 17 of 255", "!retry 17 of 255", "retry 3 of 9", "retry of 9")
     assert tokens[0] == ("retry", "<:NUM:>", "of", "<:NUM:>")
     assert tokens[0] is tokens[1] is tokens[2]
     assert tokens[3] == ("retry", "of", "<:NUM:>")
@@ -200,9 +209,9 @@ def test_each_rule_masks_each_distinct_raw_token_once():
         def __init__(self, name, regex):
             self.name, self.regex = name, regex
 
-        def match(self, token):
+        def fullmatch(self, token):
             calls.append((self.name, token))
-            return self.regex.match(token)
+            return self.regex.fullmatch(token)
 
         def __getattr__(self, attr):  # the group table, read once per rule
             return getattr(self.regex, attr)
@@ -226,18 +235,18 @@ def test_each_rule_masks_each_distinct_raw_token_once():
 
 
 def test_similar_messages_share_one_template():
-    corpus = corpus_of(
+    corpus = sequences_of(
         "Start mail service at node wally001",
         "Start printer service at node wally005",
     )
     mining = mine_templates(corpus)
     assert len(mining.templates) == 1
-    assert mining.templates[0].text == "Start * service at node *"
+    assert templates_of(mining) == split("Start * service at node *")
     assert mining.assignment == (1, 1)
 
 
 def test_attribute_extraction_reads_wildcard_positions():
-    corpus = corpus_of(
+    corpus = sequences_of(
         "Start mail service at node wally001",
         "Start printer service at node wally005",
     )
@@ -247,7 +256,7 @@ def test_attribute_extraction_reads_wildcard_positions():
 
 
 def test_attribute_sets_are_one_tuple_per_sequence_and_template():
-    corpus = corpus_of(
+    corpus = sequences_of(
         "Start mail service at node wally001",
         "Start printer service at node wally005",
         "!Start mail service at node wally001",
@@ -259,21 +268,21 @@ def test_attribute_sets_are_one_tuple_per_sequence_and_template():
     assert attrs[0] is attrs[2] and attrs[1] is attrs[3]
     # One sequence on two templates gives two tuples, one per template.
     tpl = mining.templates[0]
-    split = MiningResult((tpl, Template(tpl.tokens)), (1, 1, 2, 1))
-    attrs = attributes_for_corpus(corpus, split)
+    two_ids = MiningResult((tpl, Template(tpl.tokens)), (1, 1, 2, 1))
+    attrs = attributes_for_corpus(corpus, two_ids)
     assert attrs[0] == attrs[2] and attrs[0] is not attrs[2]
     assert attrs[1] is attrs[3]
 
 
 def test_dissimilar_messages_split_templates():
-    corpus = corpus_of("alpha beta gamma delta", "one two three four")
+    corpus = sequences_of("alpha beta gamma delta", "one two three four")
     mining = mine_templates(corpus)
     assert len(mining.templates) == 2
     assert mining.assignment == (1, 2)
 
 
 def test_lengths_never_mix():
-    corpus = corpus_of("connection open", "connection open now")
+    corpus = sequences_of("connection open", "connection open now")
     mining = mine_templates(corpus)
     assert len(mining.templates) == 2
 
@@ -281,16 +290,16 @@ def test_lengths_never_mix():
 def test_second_pass_reassigns_early_messages():
     # After 'c'/'d' merge into a wildcard, message 1 must match the *final*
     # template shape, not the one it created.
-    corpus = corpus_of("job a b c", "job a b d")
+    corpus = sequences_of("job a b c", "job a b d")
     mining = mine_templates(corpus)
     assert len(mining.templates) == 1
-    assert mining.templates[0].text == "job a b *"
+    assert templates_of(mining) == split("job a b *")
     assert mining.assignment == (1, 1)
 
 
 def test_digit_bearing_first_token_routes_to_wildcard_child():
     # Both route to the '*' child and merge; a literal first token does not.
-    corpus = corpus_of("412 done ok fine", "413 done ok fine", "word done ok fine")
+    corpus = sequences_of("412 done ok fine", "413 done ok fine", "word done ok fine")
     mining = mine_templates(corpus)
     # the numeric ones were masked to <:NUM:> anyway; use raw rule-free config
     config = MinerConfig(mask_rules=())
@@ -299,13 +308,13 @@ def test_digit_bearing_first_token_routes_to_wildcard_child():
         LogRecord(Label.NORMAL, "w413x done ok fine"),
     ]
     tokenized = tokenize_corpus(records, ())
-    mining = mine_templates(tokenized, config)
+    mining = mine_templates([rec.tokens for rec in tokenized], config)
     assert len(mining.templates) == 1
-    assert mining.templates[0].text == "* done ok fine"
+    assert templates_of(mining) == split("* done ok fine")
 
 
 def test_empty_content_messages_cluster_together():
-    corpus = corpus_of("", "", "real message here")
+    corpus = sequences_of("", "", "real message here")
     mining = mine_templates(corpus)
     assert mining.assignment[0] == mining.assignment[1]
     assert mining.assignment[2] != mining.assignment[0]
@@ -316,16 +325,16 @@ def test_similarity_threshold_controls_merging():
     # Same first token (the routing level), one of five positions matching.
     lax = MinerConfig(similarity_threshold=0.2)
     strict = MinerConfig(similarity_threshold=0.9)
-    corpus = corpus_of("job put block on rack", "job get chunk off disk")
+    corpus = sequences_of("job put block on rack", "job get chunk off disk")
     assert len(mine_templates(corpus, lax).templates) == 1
-    assert mine_templates(corpus, lax).templates[0].text == "job * * * *"
+    assert templates_of(mine_templates(corpus, lax)) == split("job * * * *")
     assert len(mine_templates(corpus, strict).templates) == 2
 
 
 def test_max_children_overflow_still_assigns_everything():
     config = MinerConfig(max_children=3, tree_depth=5)
     lines = [f"w{i}x start of job {i}" for i in range(20)]
-    corpus = corpus_of(*lines)
+    corpus = sequences_of(*lines)
     mining = mine_templates(corpus, config)
     assert len(mining.assignment) == 20
     assert all(1 <= t <= len(mining.templates) for t in mining.assignment)
@@ -346,10 +355,10 @@ def test_max_children_overflow_still_assigns_everything():
     ids=["literal-children-only", "wildcard-child-first"],
 )
 def test_max_children_overflow_matches_the_reference_miner(lines, expected):
-    corpus = corpus_of(*lines)
+    corpus = sequences_of(*lines)
     mining = mine_templates(corpus, MinerConfig(similarity_threshold=0.75, max_children=3))
-    assert [t.text for t in mining.templates] == expected
-    templates, assignment = naive_mine([rec.tokens for rec in corpus], 4, 0.75, 3)
+    assert templates_of(mining) == split(*expected)
+    templates, assignment = naive_mine(corpus, 4, 0.75, 3)
     assert [t.tokens for t in mining.templates] == templates
     assert mining.assignment == assignment
 
@@ -399,12 +408,12 @@ def test_max_children_overflow_matches_the_reference_miner(lines, expected):
     ],
 )
 def test_repeated_lines_match_the_reference_miner(lines, config, expected, assignment):
-    corpus = corpus_of(*lines)
+    corpus = sequences_of(*lines)
     mining = mine_templates(corpus, config)
-    assert [t.text for t in mining.templates] == expected
+    assert templates_of(mining) == split(*expected)
     assert mining.assignment == assignment
     reference = naive_mine(
-        [rec.tokens for rec in corpus],
+        corpus,
         config.tree_depth,
         config.similarity_threshold,
         config.max_children,
@@ -426,24 +435,18 @@ def test_pass_2_assigns_only_sequences_pass_1_left_unsettled(monkeypatch):
 
     monkeypatch.setattr(templating._Forest, "assign", counting)
     config = MinerConfig(similarity_threshold=0.5)
-    mining = mine_templates(pre_tokenized(lines), config)
+    mining = mine_templates(split(*lines), config)  # unmasked, so "*" reaches the miner
     assert sorted(assigned) == ["* * z", "a b c", "a b d"]
-    assert [t.text for t in mining.templates] == ["a b *", "* * z", "p q"]
+    assert templates_of(mining) == split("a b *", "* * z", "p q")
     assert mining.assignment == (1, 1, 2, 3, 3)
-    reference = naive_mine([tuple(line.split()) for line in lines], 4, 0.5, 100)
+    reference = naive_mine(split(*lines), 4, 0.5, 100)
     assert ([t.tokens for t in mining.templates], mining.assignment) == reference
-
-
-def pre_tokenized(lines):
-    """Records whose tokens are the lines split as they are, unmasked, so
-    that a literal "*" reaches the miner."""
-    return [LogRecord(Label.NORMAL, line, tuple(line.split())) for line in lines]
 
 
 def test_deeper_tree_routes_on_more_tokens():
     # depth 4 routes on one token, depth 5 on two: the second token then
     # separates otherwise-similar messages.
-    corpus = corpus_of("svc mail start now ok", "svc news start now ok")
+    corpus = sequences_of("svc mail start now ok", "svc news start now ok")
     assert len(mine_templates(corpus, MinerConfig(tree_depth=4)).templates) == 1
     assert len(mine_templates(corpus, MinerConfig(tree_depth=5)).templates) == 2
 
@@ -452,9 +455,9 @@ def test_assignment_backtracks_from_a_literal_dead_end():
     # Line 2 is learned under the wildcard child that line 1's digit-bearing
     # token created; line 3 then adds a literal 'b' child holding only an 'a'
     # branch. Pass 2 must leave that dead end and reach line 2's template.
-    corpus = corpus_of("x1 b b", "b b b", "!b a b")
+    corpus = sequences_of("x1 b b", "b b b", "!b a b")
     mining = mine_templates(corpus, MinerConfig(tree_depth=5))
-    assert [t.text for t in mining.templates] == ["* b b", "b a b"]
+    assert templates_of(mining) == split("* b b", "b a b")
     assert mining.assignment == (1, 1, 2)
 
 
@@ -463,11 +466,11 @@ def test_backtracking_tries_the_literal_branch_first():
     # the literal 'b' branch and line 4 its 'c' child. In pass 2 line 2
     # dead-ends at b/c, and the search takes b/* (line 3's leaf) before the
     # root's wildcard child, where line 2 was learned.
-    corpus = corpus_of("x1 c d z", "b c d z", "b x2 d y", "b c e z")
+    corpus = sequences_of("x1 c d z", "b c d z", "b x2 d y", "b c e z")
     mining = mine_templates(corpus, MinerConfig(tree_depth=6))
-    assert [t.text for t in mining.templates] == ["* c d z", "b x2 d y", "b c e z"]
+    assert templates_of(mining) == split("* c d z", "b x2 d y", "b c e z")
     assert mining.assignment == (1, 2, 2, 3)
-    templates, assignment = naive_mine([rec.tokens for rec in corpus], depth=6)
+    templates, assignment = naive_mine(corpus, depth=6)
     assert [t.tokens for t in mining.templates] == templates
     assert mining.assignment == assignment
 
@@ -478,9 +481,9 @@ def test_a_deep_tree_is_walked_without_recursion():
     # Line 2 merges into line 1's cluster under the root's wildcard child; in
     # pass 2 it dead-ends in line 3's literal 'b' branch and backtracks.
     tail = " b" * 1498
-    corpus = corpus_of("x1 b" + tail, "b b" + tail, "b a" + tail)
+    corpus = sequences_of("x1 b" + tail, "b b" + tail, "b a" + tail)
     mining = mine_templates(corpus, MinerConfig(tree_depth=1600))
-    assert [t.text for t in mining.templates] == ["* b" + tail, "b a" + tail]
+    assert templates_of(mining) == split("* b" + tail, "b a" + tail)
     assert mining.assignment == (1, 1, 2)
 
 
@@ -507,8 +510,8 @@ def test_backtracking_keeps_no_fallback_for_a_literal_wildcard_token(monkeypatch
     # branch, here below 12 levels of literal "*", and backtracks.
     stars, tail = " *" * 12, " t" * 36
     lines = [head + stars + last + tail for head, last in [("x1", " b"), ("b", " b"), ("b", " a")]]
-    mining = mine_templates(corpus_of(*lines), MinerConfig(tree_depth=17))
-    assert [t.text for t in mining.templates] == ["*" + stars + " b" + tail, lines[2]]
+    mining = mine_templates(sequences_of(*lines), MinerConfig(tree_depth=17))
+    assert templates_of(mining) == split("*" + stars + " b" + tail, lines[2])
     assert mining.assignment == (1, 1, 2)
     # 166 child lookups over the two passes; 16,497 with the fallback kept.
     assert len(visits) < 400
@@ -517,7 +520,7 @@ def test_backtracking_keeps_no_fallback_for_a_literal_wildcard_token(monkeypatch
 def test_backtracking_leaves_no_cyclic_garbage():
     # Mining must leave no reference cycle behind, such as a self-referencing
     # closure per pass-2 descent: only the cyclic collector could free it.
-    corpus = corpus_of("x1 c d z", "b c d z", "b x2 d y", "b c e z")
+    corpus = sequences_of("x1 c d z", "b c d z", "b x2 d y", "b c e z")
     gc.collect()
     gc.disable()
     try:
@@ -528,14 +531,8 @@ def test_backtracking_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_mining_requires_tokens():
-    corpus = (LogRecord(Label.NORMAL, "raw"),)
-    with pytest.raises(ValueError, match="not tokenized"):
-        mine_templates(corpus)
-
-
 def test_extract_attributes_checks_length():
-    corpus = corpus_of("a b c", "a b")
+    corpus = sequences_of("a b c", "a b")
     mining = mine_templates(corpus)
     # Record 2 put on record 1's three-token template.
     misassigned = MiningResult(mining.templates, (mining.assignment[0],) * 2)
@@ -546,7 +543,7 @@ def test_extract_attributes_checks_length():
 def test_attributes_reject_an_id_outside_the_templates():
     # Ids are 1-based positions: neither 0 nor one past the end may wrap
     # around to a template at the other end of the tuple.
-    corpus = corpus_of("a b", "c d e")
+    corpus = sequences_of("a b", "c d e")
     mining = mine_templates(corpus)
     assert len(mining.templates) == 2
     for tid in (0, len(mining.templates) + 1):
@@ -569,7 +566,7 @@ def test_miner_config_validation():
 
 
 def test_forest_round_trip(tmp_path):
-    corpus = corpus_of(
+    corpus = sequences_of(
         "Start mail service at node wally001",
         "!Start printer service at node wally005",
         "shutdown complete",
@@ -577,7 +574,7 @@ def test_forest_round_trip(tmp_path):
     mining = mine_templates(corpus)
     path = tmp_path / "forest.json"
     table = build_count_table(
-        corpus,
+        bytes([0, 1, 0]),
         mining.assignment,
         attributes_for_corpus(corpus, mining),
         build_all_contexts(mining.assignment),
@@ -597,9 +594,9 @@ def test_forest_round_trip(tmp_path):
 
 def test_forest_keeps_a_template_without_members(tmp_path):
     # Pass 2 moves both members of "b * c *" to templates created after it.
-    corpus = corpus_of("b a c c", "b b c a", "a b c a", "b a b c")
+    corpus = sequences_of("b a c c", "b b c a", "a b c a", "b a b c")
     mining = mine_templates(corpus, MinerConfig(tree_depth=3, similarity_threshold=0.5))
-    assert [t.text for t in mining.templates] == ["b * c *", "a b c a", "b a b c"]
+    assert templates_of(mining) == split("b * c *", "a b c a", "b a b c")
     assert mining.assignment == (3, 2, 2, 3)
     path = tmp_path / "forest.json"
     save_forest(mining, {2: (0, 2), 3: (0, 2)}, str(path))
