@@ -11,7 +11,7 @@ from .ingest import (
     read_dataset,
     write_dataset,
 )
-from .model import AnomalyKind, Label, LogRecord, TokenSequence
+from .model import AnomalyKind, LogRecord, TokenSequence
 from .pipeline import Analysis, analyze_corpus
 from .report import (
     DEFAULT_THRESHOLDS,
@@ -57,7 +57,6 @@ __all__ = [
     "DatasetFormat",
     "DatasetStats",
     "IngestSummary",
-    "Label",
     "LogRecord",
     "MaskRule",
     "MinerConfig",

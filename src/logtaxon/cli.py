@@ -22,7 +22,7 @@ from .ingest import (
     read_dataset,
     write_dataset,
 )
-from .pipeline import Analysis, analyze_corpus, anomalous_flags
+from .pipeline import Analysis, analyze_corpus
 from .report import DEFAULT_THRESHOLDS, ThresholdSweep
 from .scoring import AttributeScope, ScoreTriple
 from .templating import DEFAULT_MASK_RULES, MinerConfig, load_mask_rules, save_forest
@@ -222,11 +222,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             f"skipped {summary.malformed_skipped} malformed of {summary.lines_read} lines",
             file=sys.stderr,
         )
-    anomalous = anomalous_flags(corpus).count(1)
-    print(
-        f"parsed {len(corpus)} records ({anomalous} anomalous); mining templates ...",
-        file=sys.stderr,
-    )
+    print(f"parsed {len(corpus)} records; mining templates ...", file=sys.stderr)
 
     analysis = analyze_corpus(
         corpus,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import IO, Iterable, Mapping
 
-from .model import AnomalyKind, Label, LogRecord
+from .model import AnomalyKind, LogRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +111,6 @@ def read_dataset(
     by_content: dict[str, LogRecord] = {}  # the last record of each content
     last, append = by_content.get, records.append
     width, label_at, normal = format.header_fields, format.label_field, format.normal_token
-    normal_label, anomalous_label = Label.NORMAL, Label.ANOMALOUS
     lines_read = malformed = 0
     with open(path, "rb") as raw, _decoded(raw) as fh:
         lines = map(str.rstrip, map(str.lstrip, fh, repeat("\ufeff")), repeat("\r\n"))
@@ -122,10 +121,10 @@ def read_dataset(
                     malformed += 1
                     continue
                 content = parts[width] if len(parts) > width else ""
-                label = normal_label if parts[label_at] == normal else anomalous_label
+                anomalous = parts[label_at] != normal
                 rec = last(content)
-                if rec is None or rec.label is not label:
-                    rec = by_content[content] = LogRecord(label, rec.content if rec else content)
+                if rec is None or rec.anomalous is not anomalous:
+                    rec = by_content[content] = LogRecord(anomalous, rec.content if rec else content)
                 append(rec)
                 if limit is not None and len(records) >= limit:
                     break
@@ -141,7 +140,7 @@ def write_dataset(corpus: Iterable[LogRecord], path: str) -> None:
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "wt", encoding="utf-8") as fh:
         for rec in corpus:
-            label = "-" if rec.label is Label.NORMAL else "ANOM"
+            label = "ANOM" if rec.anomalous else "-"
             fh.write(f"{label} {rec.content}\n")
 
 
@@ -239,8 +238,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[tuple[LogRecord, ...], dict
     records: list[LogRecord] = []
     truth: dict[int, AnomalyKind] = {}
 
-    def emit(label: Label, content: str, kind: AnomalyKind | None = None) -> None:
-        records.append(LogRecord(label, content))
+    def emit(anomalous: bool, content: str, kind: AnomalyKind | None = None) -> None:
+        records.append(LogRecord(anomalous, content))
         if kind is not None:
             truth[len(records)] = kind
 
@@ -252,10 +251,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[tuple[LogRecord, ...], dict
             kind = rng.choice(kinds)
             attribute = kind is AnomalyKind.ATTRIBUTE
             tpl = rng.choice(attribute_templates if attribute else spec.anomaly_templates)
-            emit(Label.ANOMALOUS, _fill(tpl, spec.pools, rng, attribute), kind)
+            emit(True, _fill(tpl, spec.pools, rng, attribute), kind)
             # A contextual anomaly is an off-schedule extra message interrupting
             # the rhythm; the others replace the scheduled one.
             if kind is not AnomalyKind.CONTEXTUAL or len(records) >= spec.length:
                 continue
-        emit(Label.NORMAL, _fill(scheduled, spec.pools, rng, False))
+        emit(False, _fill(scheduled, spec.pools, rng, False))
     return tuple(records), truth

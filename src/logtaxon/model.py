@@ -9,13 +9,6 @@ TokenSequence = tuple[str, ...]
 """Ordered content tokens of one log message, free of whitespace after splitting."""
 
 
-class Label(enum.Enum):
-    """Binary expert annotation carried by every record."""
-
-    NORMAL = "normal"
-    ANOMALOUS = "anomalous"
-
-
 class AnomalyKind(enum.Enum):
     """Taxonomy classes. A message may carry any subset, including none."""
 
@@ -26,12 +19,12 @@ class AnomalyKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class LogRecord:
-    """One log line: label and content. A corpus is a tuple of records, and a
-    record's 1-based position in it is its index.
+    """One log line: its expert label, True when anomalous, and its content. A
+    corpus is a tuple of records, and a record's 1-based position in it is its index.
 
     `tokens` is None until the templating stage builds a tokenized copy.
     """
 
-    label: Label
+    anomalous: bool
     content: str
     tokens: TokenSequence | None = None

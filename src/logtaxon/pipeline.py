@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import attrgetter, is_
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .context import ContextBounds, ContextSignature, build_all_contexts
-from .model import Label, LogRecord, TokenSequence
+from .model import LogRecord, TokenSequence
 from .report import TaxonomyReport, ThresholdSweep, dataset_statistics, sweep_report
 from .scoring import AttributeScope, CountTable, ScoreTriple, build_count_table, score_corpus
 from .templating import MinerConfig, MiningResult, attributes_for_corpus, mine_templates, tokenize_corpus
@@ -16,9 +15,8 @@ from .templating import MinerConfig, MiningResult, attributes_for_corpus, mine_t
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything one pipeline run produced, from tokens to the final report."""
+    """Everything one pipeline run produced, from mining to the final report."""
 
-    corpus: tuple[LogRecord, ...]
     mining: MiningResult
     attribute_sets: tuple[TokenSequence, ...]
     signatures: tuple[ContextSignature, ...]
@@ -29,7 +27,7 @@ class Analysis:
 
 def anomalous_flags(corpus: Sequence[LogRecord]) -> bytes:
     """The label column: a byte per record, 1 if anomalous."""
-    return bytes(map(is_, map(attrgetter("label"), corpus), repeat(Label.ANOMALOUS)))
+    return bytes([rec.anomalous for rec in corpus])
 
 
 def analyze_corpus(
@@ -55,11 +53,11 @@ def analyze_corpus(
     sweep = sweep or ThresholdSweep()
 
     tokenized = tokenize_corpus(corpus, miner_config.mask_rules)
-    # Later stages read per-line columns, not records. The sequence column goes
-    # once attributes are read; made before the label column, its freed memory
-    # is reused by contexts (peak RSS on 300k repeated lines 31.2 MB, not 33.4).
+    # Later stages read per-line columns, not records: the records go before
+    # mining, and the sequence column once attributes are read.
     sequences = [rec.tokens for rec in tokenized]
     anomalous = anomalous_flags(tokenized)
+    del tokenized
     mining = mine_templates(sequences, miner_config)
     attribute_sets = attributes_for_corpus(sequences, mining)
     del sequences
@@ -94,7 +92,6 @@ def analyze_corpus(
         source=source,
     )
     return Analysis(
-        corpus=tokenized,
         mining=mining,
         attribute_sets=attribute_sets,
         signatures=signatures,

@@ -53,11 +53,6 @@ class CountTable:
     context_counts: Mapping[ContextSignature, CountPair]
     attribute_scope: AttributeScope = "global"
 
-    def attribute_key(self, template_id: int, slot: int, token: str) -> object:
-        if self.attribute_scope == "global":
-            return token
-        return (template_id, slot, token)
-
 
 def _check_aligned(anomalous: bytes, *columns: Sequence) -> None:
     if any(len(column) != len(anomalous) for column in columns):
@@ -87,15 +82,17 @@ def build_count_table(
     per occurrence: a token repeated in one message's attribute set
     contributes once per repetition, and every message contributes one
     observation of its template and of its signature. Raises ValueError when
-    the four columns differ in length.
+    the four columns differ in length, or a label byte is neither 0 nor 1.
     """
     if attribute_scope not in ("global", "per-position"):
         raise ValueError(f"unknown attribute scope {attribute_scope!r}")
     _check_aligned(anomalous, assignment, attribute_sets, signatures)
+    if anomalous.translate(None, b"\0\1"):  # else a line would count as both
+        raise ValueError("the label column holds a byte other than 0 and 1")
     normal = anomalous.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
     def attribute_keys(kept: bytes) -> Iterable:
-        """The `attribute_key` of every token of the kept records."""
+        """The attribute-table key of every token of the kept lines."""
         attrs = compress(attribute_sets, kept)
         if attribute_scope == "global":
             return chain.from_iterable(attrs)
@@ -140,7 +137,7 @@ def score_corpus(
     shared_head, triple = cache(lambda t, a: (t, a, {})), cache(ScoreTriple)
 
     def head(tid: int, attrs: TokenSequence) -> tuple[Fraction, Fraction | None, dict]:
-        keys = (table.attribute_key(tid, slot, token) for slot, token in enumerate(attrs))
+        keys = attrs if table.attribute_scope == "global" else zip(repeat(tid), count(), attrs)
         a = max((fraction(table.attribute_counts[key]) for key in keys), default=None)
         return by_row.setdefault((tid, attrs), shared_head(fraction(table.template_counts[tid]), a))
 

@@ -37,12 +37,21 @@ class MaskRule:
     a `key=` prefix) around the mask; a group that did not take part in the
     match gives "". Any other backslash is refused rather than read as an
     escape. Mask tokens use the angle-bracket-colon form `<:NAME:>`, which
-    whitespace splitting can never produce on its own.
+    whitespace splitting can never produce on its own. A rule whose `name` or
+    `replacement` is not one non-empty, whitespace-free string raises
+    ValueError when built; the pattern is compiled on first use.
     """
 
     name: str
     pattern: str
     replacement: str
+
+    def __post_init__(self) -> None:
+        for field, value in (("name", self.name), ("replacement", self.replacement)):
+            if not isinstance(value, str) or value.split() != [value]:  # else a token holds a space
+                raise ValueError(
+                    f"{field!r} must be a non-empty, whitespace-free string, not {value!r}"
+                )
 
     @cached_property
     def regex(self) -> re.Pattern[str]:
@@ -102,11 +111,8 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
         if not isinstance(entry, dict) or not {"name", "pattern"} <= entry.keys():
             raise ValueError(f"{where}: needs a 'name' and a 'pattern'")
         name = entry["name"]
-        rule = MaskRule(name, entry["pattern"], entry.get("replacement", f"<:{name}:>"))
-        for field, value in (("name", name), ("replacement", rule.replacement)):
-            if not isinstance(value, str) or value.split() != [value]:  # else a token holds a space
-                raise ValueError(f"{where}: {field!r} must be a non-empty, whitespace-free string")
         try:
+            rule = MaskRule(name, entry["pattern"], entry.get("replacement", f"<:{name}:>"))
             rule.pieces  # compiles the pattern and parses the replacement
         except (re.error, TypeError, ValueError) as exc:
             raise ValueError(f"{where}: {exc}") from None
@@ -155,9 +161,9 @@ def tokenize_corpus(
         if rec is None:
             tokens = tuple(map(mask, r.content.split()))
             tokens = sequences.setdefault(tokens, tokens)
-            rec = by_content[r.content] = LogRecord(r.label, r.content, tokens)
-        elif rec.label is not r.label:
-            rec = by_content[r.content] = LogRecord(r.label, rec.content, rec.tokens)
+            rec = by_content[r.content] = LogRecord(r.anomalous, r.content, tokens)
+        elif rec.anomalous is not r.anomalous:
+            rec = by_content[r.content] = LogRecord(r.anomalous, rec.content, rec.tokens)
         records.append(rec)
     return tuple(records)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from logtaxon.model import Label, LogRecord
+from logtaxon.model import LogRecord
 
 
 def naive_mine(token_lists, depth=4, similarity=0.4, max_children=100):
@@ -154,7 +154,7 @@ def naive_signature(assignment, index, before, after):
 
 
 def reference_parse(text, header_fields=1, label_field=0, normal_token="-", limit=None):
-    """Reference line parser: ([(label, content)], lines read, malformed lines).
+    """Reference line parser: ([(anomalous, content)], lines read, malformed lines).
 
     Walks each line character by character. Lines end at "\n" only, and text
     after the last one is a line when it is not empty. A line first loses
@@ -193,8 +193,7 @@ def reference_parse(text, header_fields=1, label_field=0, normal_token="-", limi
         content = line[pos:]
         while content.endswith("\r"):
             content = content[:-1]
-        label = Label.NORMAL if fields[label_field] == normal_token else Label.ANOMALOUS
-        records.append((label, content))
+        records.append((fields[label_field] != normal_token, content))
     return records, lines_read, malformed
 
 
@@ -218,20 +217,20 @@ def brute_force_counts(corpus, templates, assignment, before=10, after=0, attrib
     and (tid, slot, token) under "per-position".
     """
     attrs, sigs = brute_force_views(corpus, templates, assignment, before, after)
-    labels = [rec.label for rec in corpus]
-    rows = []  # (kind, key, label), one per occurrence
-    for tid, attr, sig, label in zip(assignment, attrs, sigs, labels):
-        rows.append(("template", tid, label))
-        rows.append(("context", sig, label))
+    flags = [rec.anomalous for rec in corpus]
+    rows = []  # (kind, key, anomalous), one per occurrence
+    for tid, attr, sig, anomalous in zip(assignment, attrs, sigs, flags):
+        rows.append(("template", tid, anomalous))
+        rows.append(("context", sig, anomalous))
         for slot, token in enumerate(attr):
             key = token if attribute_scope == "global" else (tid, slot, token)
-            rows.append(("attribute", key, label))
+            rows.append(("attribute", key, anomalous))
     tables = {"template": {}, "attribute": {}, "context": {}}
     for kind, key, _ in rows:
         if key in tables[kind]:
             continue
-        same = [label for k, other, label in rows if k == kind and other == key]
-        anomalous = sum(1 for label in same if label is Label.ANOMALOUS)
+        same = [flag for k, other, flag in rows if k == kind and other == key]
+        anomalous = sum(1 for flag in same if flag)
         tables[kind][key] = (anomalous, len(same) - anomalous)
     return tables["template"], tables["attribute"], tables["context"]
 
@@ -263,7 +262,7 @@ def brute_force_scores(
     for i in range(1, n + 1):
         rec = corpus[i - 1]
         tid = assignment[i - 1]
-        anomalous = rec.label is Label.ANOMALOUS
+        anomalous = rec.anomalous
         tpl_total[tid] += 1
         ctx_total[sigs[i - 1]] += 1
         if anomalous:
@@ -278,7 +277,7 @@ def brute_force_scores(
     result = {}
     for i in range(1, n + 1):
         rec = corpus[i - 1]
-        if not include_normal and rec.label is not Label.ANOMALOUS:
+        if not include_normal and not rec.anomalous:
             continue
         tid = assignment[i - 1]
         t_score = Fraction(tpl_anom[tid], tpl_total[tid])

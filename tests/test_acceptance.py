@@ -16,7 +16,7 @@ import pytest
 from oracle import brute_force_scores
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.ingest import PRESETS, AttributePool, SyntheticSpec, generate_synthetic, read_dataset
-from logtaxon.model import AnomalyKind, Label, LogRecord
+from logtaxon.model import AnomalyKind, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import DEFAULT_THRESHOLDS, classify
 from logtaxon.templating import attributes_for_corpus, mine_templates, tokenize_corpus
@@ -94,7 +94,7 @@ def test_criterion_1_brute_force_oracle_equivalence():
             corpus, bounds=ContextBounds(before, after), attribute_scope=scope
         )
         expected = brute_force_scores(
-            analysis.corpus,
+            tokenize_corpus(corpus),
             analysis.mining.templates,
             analysis.mining.assignment,
             before,
@@ -120,8 +120,8 @@ def test_criterion_1_brute_force_oracle_equivalence():
 
 def test_criterion_2_hand_worked_examples():
     records = [
-        LogRecord(Label.NORMAL, "Start mail service at node wally001"),
-        LogRecord(Label.NORMAL, "Start printer service at node wally005"),
+        LogRecord(False, "Start mail service at node wally001"),
+        LogRecord(False, "Start printer service at node wally005"),
     ]
     sequences = [rec.tokens for rec in tokenize_corpus(records)]
     mining = mine_templates(sequences)
@@ -216,7 +216,7 @@ def find_dataset(stem: str) -> str | None:
 
 
 def anomalous_count(corpus) -> int:
-    return sum(rec.label is Label.ANOMALOUS for rec in corpus)
+    return sum(rec.anomalous for rec in corpus)
 
 
 def run_dataset(path: str, preset: str, limit: int | None):
@@ -268,8 +268,8 @@ def test_criterion_4_spirit():
     anomalous_ok = anomalous == 764_891
     # the two dominant drive-fault templates must cover nearly all anomalies
     counts = {}
-    for rec, tid in zip(analysis.corpus, analysis.mining.assignment):
-        if rec.label is Label.ANOMALOUS:
+    for rec, tid in zip(corpus, analysis.mining.assignment):
+        if rec.anomalous:
             counts[tid] = counts.get(tid, 0) + 1
     top_two = sorted(counts.values(), reverse=True)[:2]
     cover = 100.0 * sum(top_two) / anomalous if anomalous else 0.0

@@ -360,7 +360,7 @@ def test_input_from_a_pipe(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "parsed 2 records (1 anomalous)" in proc.stderr
+    assert "parsed 2 records; mining templates ..." in proc.stderr
     assert json.loads((out_dir / "report.json").read_text())["dataset"]["anomalousMessages"] == 1
 
 

@@ -16,7 +16,7 @@ from logtaxon.ingest import (
     read_dataset,
     write_dataset,
 )
-from logtaxon.model import AnomalyKind, Label
+from logtaxon.model import AnomalyKind
 from logtaxon.templating import tokenize
 
 BGL_NORMAL = (
@@ -43,10 +43,10 @@ def test_bgl_preset_splits_label_and_content(tmp_path):
     corpus, summary = read_dataset(str(path), PRESETS["bgl"])
     assert len(corpus) == 2 and summary.malformed_skipped == 0
     first, second = corpus
-    assert first.label is Label.NORMAL
+    assert first.anomalous is False
     assert first.content == "instruction cache parity error corrected"
     assert "RAS KERNEL INFO" not in first.content
-    assert second.label is Label.ANOMALOUS
+    assert second.anomalous is True
     assert second.content == "data TLB error interrupt"
 
 
@@ -54,7 +54,7 @@ def test_spirit_preset_keeps_component_in_content(tmp_path):
     path = tmp_path / "spirit.log"
     write_lines(path, [SPIRIT_ALERT])
     corpus, _ = read_dataset(str(path), PRESETS["spirit"])
-    assert corpus[0].label is Label.ANOMALOUS
+    assert corpus[0].anomalous is True
     assert corpus[0].content == "kernel: hda: drive not ready for command"
 
 
@@ -62,7 +62,7 @@ def test_generic_preset_one_header_field(tmp_path):
     path = tmp_path / "gen.log"
     write_lines(path, ["- all fine here", "FAIL something broke"])
     corpus, _ = read_dataset(str(path))
-    assert [rec.label for rec in corpus] == [Label.NORMAL, Label.ANOMALOUS]
+    assert [rec.anomalous for rec in corpus] == [False, True]
     assert corpus[1].content == "something broke"
 
 
@@ -72,7 +72,7 @@ def test_gzip_input_detected_by_magic_bytes(tmp_path):
         fh.write("- hello world\nX bad news\n")
     corpus, _ = read_dataset(str(path))
     assert len(corpus) == 2
-    assert corpus[1].label is Label.ANOMALOUS
+    assert corpus[1].anomalous is True
 
 
 def test_gzip_input_leaves_no_file_open(tmp_path):
@@ -94,12 +94,7 @@ def test_leading_byte_order_mark_is_dropped(tmp_path, compressed):
     path = tmp_path / "bom.log"
     path.write_bytes(gzip.compress(data, mtime=0) if compressed else data)
     corpus, summary = read_dataset(str(path))
-    assert [rec.label for rec in corpus] == [
-        Label.NORMAL,
-        Label.ANOMALOUS,
-        Label.NORMAL,
-        Label.NORMAL,
-    ]
+    assert [rec.anomalous for rec in corpus] == [False, True, False, False]
     assert [rec.content for rec in corpus] == ["all fine", "broke", "a b", "end"]
     assert summary == IngestSummary(lines_read=5, malformed_skipped=1)
 
@@ -112,7 +107,7 @@ def test_a_line_ends_at_newline_only(tmp_path, compressed):
     path = tmp_path / "cr.log"
     path.write_bytes(gzip.compress(data, mtime=0) if compressed else data)
     corpus, summary = read_dataset(str(path))
-    assert [rec.label for rec in corpus] == [Label.NORMAL, Label.NORMAL, Label.ANOMALOUS]
+    assert [rec.anomalous for rec in corpus] == [False, False, True]
     assert [rec.content for rec in corpus] == ["foo\rbar", "baz qux", "boom"]
     assert summary == IngestSummary(lines_read=3, malformed_skipped=0)
     assert tokenize(corpus[0].content) == ("foo", "bar")
@@ -148,8 +143,8 @@ def test_equal_label_and_content_are_one_record(tmp_path):
     path = tmp_path / "gen.log"
     write_lines(path, ["- a 1", "X a 1", "- a 1", "X a 1", "X a 1", "- a 2", "- a 2"])
     corpus, _ = read_dataset(str(path))
-    N, A = Label.NORMAL, Label.ANOMALOUS
-    assert [(r.label, r.content) for r in corpus] == [
+    N, A = False, True
+    assert [(r.anomalous, r.content) for r in corpus] == [
         (N, "a 1"), (A, "a 1"), (N, "a 1"), (A, "a 1"), (A, "a 1"), (N, "a 2"), (N, "a 2")
     ]
     assert corpus[3] is corpus[4] and corpus[5] is corpus[6]
@@ -226,7 +221,7 @@ def test_write_read_round_trip(tmp_path):
     assert summary.malformed_skipped == 0
     assert len(back) == len(corpus)
     for a, b in zip(corpus, back):
-        assert (a.label, a.content) == (b.label, b.content)
+        assert (a.anomalous, a.content) == (b.anomalous, b.content)
 
 
 def test_format_validation():
@@ -261,19 +256,19 @@ def test_synthetic_is_deterministic():
     a, truth_a = generate_synthetic(demo_spec())
     b, truth_b = generate_synthetic(demo_spec())
     assert truth_a == truth_b
-    assert [(r.label, r.content) for r in a] == [(r.label, r.content) for r in b]
+    assert [(r.anomalous, r.content) for r in a] == [(r.anomalous, r.content) for r in b]
 
 
 def test_synthetic_seed_changes_output():
     a, _ = generate_synthetic(demo_spec())
     b, _ = generate_synthetic(demo_spec(seed=12))
-    assert [(r.label, r.content) for r in a] != [(r.label, r.content) for r in b]
+    assert [(r.anomalous, r.content) for r in a] != [(r.anomalous, r.content) for r in b]
 
 
 def test_synthetic_length_and_truth_alignment():
     corpus, truth = generate_synthetic(demo_spec())
     assert len(corpus) == 300
-    assert set(truth) == {i for i, r in enumerate(corpus, start=1) if r.label is Label.ANOMALOUS}
+    assert set(truth) == {i for i, r in enumerate(corpus, start=1) if r.anomalous}
     assert all(kind in AnomalyKind for kind in truth.values())
     # A contextual anomaly inserted as the last record must end the corpus
     # there, not be followed by its scheduled message.
@@ -286,7 +281,7 @@ def test_synthetic_length_and_truth_alignment():
 
 def test_synthetic_zero_rate_is_all_normal():
     corpus, truth = generate_synthetic(demo_spec(anomaly_rate=0.0))
-    assert all(rec.label is Label.NORMAL for rec in corpus)
+    assert not any(rec.anomalous for rec in corpus)
     assert truth == {}
 
 

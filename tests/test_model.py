@@ -1,6 +1,6 @@
 import pytest
 
-from logtaxon.model import AnomalyKind, Label, LogRecord
+from logtaxon.model import AnomalyKind, LogRecord
 from logtaxon.pipeline import analyze_corpus
 
 
@@ -10,7 +10,7 @@ def test_split_corpus_rejects_empty():
 
 
 def test_records_are_immutable():
-    r = LogRecord(Label.NORMAL, "a")
+    r = LogRecord(False, "a")
     with pytest.raises(AttributeError):
         r.content = "b"
 

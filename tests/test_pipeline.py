@@ -3,6 +3,8 @@ import sys
 import tracemalloc
 from fractions import Fraction
 
+import pytest
+
 from logtaxon.cli import DEMO_SPEC_ANOMALY_TEMPLATES, DEMO_SPEC_POOLS, DEMO_SPEC_TEMPLATES
 from logtaxon.context import ContextBounds
 from logtaxon.ingest import (
@@ -12,7 +14,7 @@ from logtaxon.ingest import (
     read_dataset,
     write_dataset,
 )
-from logtaxon.model import AnomalyKind, Label
+from logtaxon.model import AnomalyKind, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import ThresholdSweep
 from logtaxon.templating import MinerConfig
@@ -43,8 +45,15 @@ def test_anomaly_only_template_scores_exactly_one():
 def test_scores_cover_exactly_the_anomalous_records():
     corpus, _ = generate_synthetic(spec_with_one_failure_template())
     analysis = analyze_corpus(corpus)
-    anomalous = {i for i, r in enumerate(corpus, start=1) if r.label is Label.ANOMALOUS}
+    anomalous = {i for i, r in enumerate(corpus, start=1) if r.anomalous}
     assert set(analysis.scores) == anomalous
+
+
+def test_a_label_byte_other_than_0_and_1_fails_rather_than_counting_twice():
+    # bytes() takes the int 2 as it is, and counting would then take its
+    # line as both anomalous and normal.
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        analyze_corpus([LogRecord(2, "a b"), LogRecord(False, "a c")])
 
 
 def test_all_normal_corpus_yields_empty_scores():
@@ -133,10 +142,12 @@ def traced_peak_of_distinct_lines(tmp_path, length):
 
 # Traced peak bytes per distinct line, measured per interpreter since object
 # sizes differ between versions. Each line adds its content, tokens,
-# attribute tuple and four attribute-table keys; the table is the largest
-# per-key one here and is built last among the big ones, so a transient
-# second copy of it adds 32 to 50 bytes per line, more than the margin.
-BYTES_PER_DISTINCT_LINE = {(3, 10): 1150, (3, 11): 1029, (3, 12): 697, (3, 13): 983}
+# attribute tuple and four attribute-table keys. The peak falls where the
+# tokens are masked and interned, so it also grows with the strings the
+# process interned before: on 3.11 it reads 850 in a fresh interpreter, 911
+# with this test alone under pytest and 943 after the rest of the suite,
+# the figure kept here.
+BYTES_PER_DISTINCT_LINE = {(3, 10): 1150, (3, 11): 943, (3, 12): 697, (3, 13): 983}
 DISTINCT_LINE_MARGIN = 20
 
 

@@ -14,7 +14,7 @@ from oracle import brute_force_counts, brute_force_scores, naive_mine, naive_sig
 from logtaxon import templating
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.ingest import DatasetFormat, read_dataset
-from logtaxon.model import AnomalyKind, Label, LogRecord
+from logtaxon.model import AnomalyKind, LogRecord
 from logtaxon.pipeline import analyze_corpus, anomalous_flags
 from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
@@ -64,15 +64,15 @@ tree_shapes = st.tuples(
 
 
 def corpus_from(lines):
-    records = [LogRecord(Label.ANOMALOUS if anom else Label.NORMAL, text) for anom, text in lines]
+    records = [LogRecord(anom, text) for anom, text in lines]
     return tokenize_corpus(records)
 
 
 @given(labeled_lines)
 def test_corpus_counts_partition(lines):
     corpus = corpus_from(lines)
-    normal = sum(rec.label is Label.NORMAL for rec in corpus)
-    anomalous = sum(rec.label is Label.ANOMALOUS for rec in corpus)
+    normal = sum(rec.anomalous is False for rec in corpus)
+    anomalous = sum(rec.anomalous is True for rec in corpus)
     assert normal + anomalous == len(corpus)
     assert anomalous == sum(1 for anom, _ in lines if anom)
 
@@ -82,16 +82,16 @@ def test_corpus_counts_partition(lines):
 few_contents = st.sampled_from(["a 1", "a 2", "a  1", "b 0xbeef", "b", ""])
 
 
-@given(st.lists(st.tuples(st.sampled_from(Label), few_contents), max_size=40))
+@given(st.lists(st.tuples(st.booleans(), few_contents), max_size=40))
 def test_tokenize_corpus_shares_records_without_changing_them(lines):
-    corpus = tuple(LogRecord(label, text) for label, text in lines)
+    corpus = tuple(LogRecord(anomalous, text) for anomalous, text in lines)
     tokenized = tokenize_corpus(corpus)
-    assert tokenized == tuple(LogRecord(r.label, r.content, tokenize(r.content)) for r in corpus)
+    assert tokenized == tuple(LogRecord(r.anomalous, r.content, tokenize(r.content)) for r in corpus)
     sequences = {}
     for rec in tokenized:
         assert sequences.setdefault(rec.tokens, rec.tokens) is rec.tokens
     for a, b in zip(tokenized, tokenized[1:]):
-        assert (a is b) == ((a.label, a.content) == (b.label, b.content))
+        assert (a is b) == ((a.anomalous, a.content) == (b.anomalous, b.content))
 
 
 # Tokens over digits, hex letters and the separators the default rules know,
@@ -294,7 +294,7 @@ def test_pipeline_scores_match_brute_force(lines, before, after, scope, include_
         attribute_scope=scope,
         include_normal_scores=include_normal,
     )
-    mined = (analysis.corpus, analysis.mining.templates, analysis.mining.assignment, before, after)
+    mined = (corpus, analysis.mining.templates, analysis.mining.assignment, before, after)
     expected = brute_force_scores(*mined, scope, include_normal)
     got = {
         i: (s.template_score, s.attribute_score, s.context_score)
@@ -302,7 +302,7 @@ def test_pipeline_scores_match_brute_force(lines, before, after, scope, include_
     }
     assert got == expected
     # The report filter: of a map over every line, the scores of anomalous lines.
-    anomalous = anomalous_flags(analysis.corpus)
+    anomalous = anomalous_flags(corpus)
     everything = brute_force_scores(*mined, scope, True)
     assert dict(compress(everything.items(), anomalous)) == brute_force_scores(*mined, scope)
     table = analysis.table
@@ -342,7 +342,7 @@ def test_read_dataset_matches_the_reference_parser(text, layout, normal, limit):
                 read_dataset(path, fmt, limit)
             return
         corpus, summary = read_dataset(path, fmt, limit)
-    assert [(rec.label, rec.content) for rec in corpus] == expected
+    assert [(rec.anomalous, rec.content) for rec in corpus] == expected
     assert (summary.lines_read, summary.malformed_skipped) == (lines_read, malformed)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logtaxon.model import AnomalyKind, Label, LogRecord
+from logtaxon.model import AnomalyKind, LogRecord
 from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import (
     DEFAULT_THRESHOLDS,
@@ -124,9 +124,9 @@ def test_classify_is_monotone_in_threshold():
 
 def test_dataset_statistics_counts_shared_templates():
     records = [
-        LogRecord(Label.NORMAL, "task ok alpha"),
-        LogRecord(Label.ANOMALOUS, "task ok beta"),
-        LogRecord(Label.ANOMALOUS, "panic panic panic now"),
+        LogRecord(False, "task ok alpha"),
+        LogRecord(True, "task ok beta"),
+        LogRecord(True, "panic panic panic now"),
     ]
     stats = dataset_statistics(analyze_corpus(records).table)
     assert stats.normal_messages == 1

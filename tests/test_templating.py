@@ -1,12 +1,13 @@
 import gc
 import json
+import re
 
 import pytest
 
 from oracle import naive_mine
 from logtaxon import templating
 from logtaxon.context import build_all_contexts
-from logtaxon.model import Label, LogRecord
+from logtaxon.model import LogRecord
 from logtaxon.scoring import build_count_table
 from logtaxon.templating import (
     DEFAULT_MASK_RULES,
@@ -28,8 +29,7 @@ def sequences_of(*lines):
     prefixed with '!' is tokenized as an anomalous record."""
     records = []
     for line in lines:
-        label = Label.ANOMALOUS if line.startswith("!") else Label.NORMAL
-        records.append(LogRecord(label, line.lstrip("!")))
+        records.append(LogRecord(line.startswith("!"), line.lstrip("!")))
     return tuple(rec.tokens for rec in tokenize_corpus(records))
 
 
@@ -120,6 +120,32 @@ def test_hex_rule_keeps_a_key_prefix_and_masks_a_bare_value():
 def test_mask_replacement_fills_an_unmatched_group_with_nothing():
     rules = (MaskRule("V", r"(?P<key>[a-z]+=)?(\d+)(x)?", r"[\g<key>|\g<2>|\g<3>|\g<0>]"),)
     assert tokenize("n=12 12x", rules) == ("[n=|12||n=12]", "[|12|x|12x]")
+
+
+@pytest.mark.parametrize(
+    "name, replacement",
+    [("N", "a b"), ("N", "a\tb"), ("N", ""), ("a b", "<:N:>"), ("", "<:N:>"), (None, "<:N:>")],
+    ids=[
+        "spaced-replacement",
+        "tab-replacement",
+        "empty-replacement",
+        "spaced-name",
+        "empty-name",
+        "null-name",
+    ],
+)
+def test_mask_rule_built_in_code_refuses_a_name_or_replacement_that_is_not_one_token(
+    name, replacement
+):
+    with pytest.raises(ValueError, match="must be a non-empty, whitespace-free string"):
+        MaskRule(name, "x", replacement)
+
+
+def test_mask_rule_compiles_its_pattern_on_first_use():
+    rule = MaskRule("BAD", "(", "<:BAD:>")
+    assert "regex" not in vars(rule)
+    with pytest.raises(re.error):
+        tokenize("x", (rule,))
 
 
 def write_rules(tmp_path, *entries):
@@ -220,7 +246,7 @@ def test_each_rule_masks_each_distinct_raw_token_once():
     for rule in rules:
         rule.__dict__["regex"] = Counting(rule.name, rule.regex)  # the cached_property's slot
     # Raw tokens repeat across contents, and one content under both labels.
-    labels = [Label.NORMAL, Label.ANOMALOUS, Label.ANOMALOUS, Label.NORMAL]
+    labels = [False, True, True, False]
     lines = ["retry 17 of 255", "retry 17 of 255", "retry 17 of 9", "of 9 retry X"]
     corpus = tokenize_corpus([LogRecord(*pair) for pair in zip(labels, lines)], rules)
     assert corpus[0].tokens == ("<:WORD:>", "<:NUM:>", "<:WORD:>", "<:NUM:>")
@@ -304,8 +330,8 @@ def test_digit_bearing_first_token_routes_to_wildcard_child():
     # the numeric ones were masked to <:NUM:> anyway; use raw rule-free config
     config = MinerConfig(mask_rules=())
     records = [
-        LogRecord(Label.NORMAL, "w412x done ok fine"),
-        LogRecord(Label.NORMAL, "w413x done ok fine"),
+        LogRecord(False, "w412x done ok fine"),
+        LogRecord(False, "w413x done ok fine"),
     ]
     tokenized = tokenize_corpus(records, ())
     mining = mine_templates([rec.tokens for rec in tokenized], config)
