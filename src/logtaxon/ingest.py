@@ -158,8 +158,7 @@ class SyntheticSpec:
     """Recipe for a generated corpus.
 
     `templates` are message patterns whose "<pool>" tokens get filled from the
-    named pool. `sequence_patterns` (indices into templates) repeat round-robin
-    to give the stream a stable rhythm; without one, templates cycle in order.
+    named pool; they cycle in order, which gives the stream a stable rhythm.
     `anomaly_templates` are patterns only anomalies use. Injected anomalies
     replace the scheduled message (template/attribute kinds) or insert an
     extra one (contextual kind), keeping kinds separable on purpose.
@@ -171,7 +170,6 @@ class SyntheticSpec:
     anomaly_rate: float = 0.05
     seed: int = 0
     anomaly_templates: tuple[str, ...] = ()
-    sequence_patterns: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.templates:
@@ -180,9 +178,6 @@ class SyntheticSpec:
             raise ValueError("anomaly_rate must be within [0, 1]")
         if self.length < 1:
             raise ValueError("length must be positive")
-        for i in self.sequence_patterns:
-            if not 0 <= i < len(self.templates):
-                raise ValueError(f"sequence pattern index {i} out of range")
         for tpl in self.templates + self.anomaly_templates:
             for slot in _slots_of(tpl):
                 pool = self.pools.get(slot)
@@ -223,8 +218,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[tuple[LogRecord, ...], dict
     Deterministic for a fixed spec (seeded RNG, no global state).
     """
     rng = random.Random(spec.seed)
-    schedule = spec.sequence_patterns or tuple(range(len(spec.templates)))
-
     attribute_templates = tuple(
         t for t in spec.templates if any(spec.pools[s].anomalous for s in _slots_of(t))
     )
@@ -245,7 +238,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[tuple[LogRecord, ...], dict
 
     step = 0
     while len(records) < spec.length:
-        scheduled = spec.templates[schedule[step % len(schedule)]]
+        scheduled = spec.templates[step % len(spec.templates)]
         step += 1
         if kinds and rng.random() < spec.anomaly_rate:
             kind = rng.choice(kinds)

@@ -18,7 +18,7 @@ class Analysis:
     """Everything one pipeline run produced, from mining to the final report."""
 
     mining: MiningResult
-    attribute_sets: tuple[TokenSequence, ...]
+    attribute_sets: tuple[TokenSequence, ...]  # by sequence id
     signatures: tuple[ContextSignature, ...]
     table: CountTable
     scores: dict[int, ScoreTriple]
@@ -62,16 +62,9 @@ def analyze_corpus(
     attribute_sets = attributes_for_corpus(sequences, mining)
     del sequences
     signatures = build_all_contexts(mining.assignment, bounds)
-    table = build_count_table(
-        anomalous, mining.assignment, attribute_sets, signatures, attribute_scope
-    )
+    table = build_count_table(anomalous, mining, attribute_sets, signatures, attribute_scope)
     scores = score_corpus(
-        anomalous,
-        table,
-        mining.assignment,
-        attribute_sets,
-        signatures,
-        include_normal=include_normal_scores,
+        anomalous, table, mining, attribute_sets, signatures, include_normal=include_normal_scores
     )
     stats = dataset_statistics(table)
     config = {

@@ -17,6 +17,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 from .context import ContextSignature
 from .model import TokenSequence
+from .templating import MiningResult
 
 # (anomalous, normal) observation counts.
 CountPair = tuple[int, int]
@@ -54,9 +55,11 @@ class CountTable:
     attribute_scope: AttributeScope = "global"
 
 
-def _check_aligned(anomalous: bytes, *columns: Sequence) -> None:
-    if any(len(column) != len(anomalous) for column in columns):
+def _check_aligned(anomalous: bytes, mining: MiningResult, attrs: Sequence, sigs: Sequence) -> None:
+    if any(len(c) != len(anomalous) for c in (mining.assignment, mining.sequence_ids, sigs)):
         raise ValueError("the label column and the other per-line columns differ in length")
+    if len(attrs) != max(mining.sequence_ids, default=-1) + 1:
+        raise ValueError("the attribute table does not hold one entry per sequence id")
 
 
 def _tally(anomalous: Iterable, normal: Iterable) -> Counter:
@@ -71,36 +74,36 @@ def _tally(anomalous: Iterable, normal: Iterable) -> Counter:
 
 def build_count_table(
     anomalous: bytes,
-    assignment: Sequence[int],
+    mining: MiningResult,
     attribute_sets: Sequence[TokenSequence],
     signatures: Sequence[ContextSignature],
     attribute_scope: AttributeScope = "global",
 ) -> CountTable:
     """Count every template, attribute-token, and signature occurrence by label.
 
-    `anomalous` holds one byte per line, 1 for an anomalous one. Counting is
-    per occurrence: a token repeated in one message's attribute set
-    contributes once per repetition, and every message contributes one
-    observation of its template and of its signature. Raises ValueError when
-    the four columns differ in length, or a label byte is neither 0 nor 1.
+    `anomalous` holds one byte per line, 1 for an anomalous one, and `attribute_sets`
+    a tuple per sequence id. Counting is per occurrence: a token repeated in one
+    message's attribute set contributes once per repetition, and every message
+    contributes one observation of its template and of its signature. Raises
+    ValueError when the columns do not align, or a label byte is neither 0 nor 1.
     """
     if attribute_scope not in ("global", "per-position"):
         raise ValueError(f"unknown attribute scope {attribute_scope!r}")
-    _check_aligned(anomalous, assignment, attribute_sets, signatures)
+    _check_aligned(anomalous, mining, attribute_sets, signatures)
     if anomalous.translate(None, b"\0\1"):  # else a line would count as both
         raise ValueError("the label column holds a byte other than 0 and 1")
     normal = anomalous.translate(bytes.maketrans(b"\0\1", b"\1\0"))
+    keys = attribute_sets  # per sequence id, the attribute-table key of each token
+    if attribute_scope == "per-position":
+        tid_of = dict(zip(mining.sequence_ids, mining.assignment))
+        keys = [tuple(zip(repeat(tid_of[sid]), count(), a)) for sid, a in enumerate(keys)]
 
     def attribute_keys(kept: bytes) -> Iterable:
         """The attribute-table key of every token of the kept lines."""
-        attrs = compress(attribute_sets, kept)
-        if attribute_scope == "global":
-            return chain.from_iterable(attrs)
-        tids = map(repeat, compress(compress(assignment, kept), compress(attribute_sets, kept)))
-        return chain.from_iterable(map(zip, tids, map(count, repeat(0)), filter(None, attrs)))
+        return chain.from_iterable(map(keys.__getitem__, compress(mining.sequence_ids, kept)))
 
     return CountTable(
-        _tally(compress(assignment, anomalous), compress(assignment, normal)),
+        _tally(compress(mining.assignment, anomalous), compress(mining.assignment, normal)),
         _tally(attribute_keys(anomalous), attribute_keys(normal)),
         _tally(compress(signatures, anomalous), compress(signatures, normal)),
         attribute_scope,
@@ -110,7 +113,7 @@ def build_count_table(
 def score_corpus(
     anomalous: bytes,
     table: CountTable,
-    assignment: Sequence[int],
+    mining: MiningResult,
     attribute_sets: Sequence[TokenSequence],
     signatures: Sequence[ContextSignature],
     include_normal: bool = False,
@@ -119,12 +122,11 @@ def score_corpus(
 
     Each score is the anomalous share of its key's occurrences in the table;
     the attribute score is the maximum over the message's attribute tokens,
-    or None when it has none. Raises ValueError when the four columns
-    differ in length. Keys repeat heavily and share few distinct count
-    pairs, so each pair maps to one Fraction, and each distinct trio of
-    score values to one ScoreTriple.
+    or None when it has none. Takes and checks the columns as `build_count_table`
+    does. Keys repeat heavily and share few distinct count pairs, so each pair
+    maps to one Fraction, and each distinct trio of score values to one ScoreTriple.
     """
-    _check_aligned(anomalous, assignment, attribute_sets, signatures)
+    _check_aligned(anomalous, mining, attribute_sets, signatures)
 
     @cache
     def fraction(pair: CountPair) -> Fraction:
@@ -136,16 +138,17 @@ def score_corpus(
     # different count pairs still share one triple.
     shared_head, triple = cache(lambda t, a: (t, a, {})), cache(ScoreTriple)
 
-    def head(tid: int, attrs: TokenSequence) -> tuple[Fraction, Fraction | None, dict]:
+    def head(sid: int, tid: int) -> tuple[Fraction, Fraction | None, dict]:
+        attrs = attribute_sets[sid]
         keys = attrs if table.attribute_scope == "global" else zip(repeat(tid), count(), attrs)
         a = max((fraction(table.attribute_counts[key]) for key in keys), default=None)
-        return by_row.setdefault((tid, attrs), shared_head(fraction(table.template_counts[tid]), a))
+        return by_row.setdefault(sid, shared_head(fraction(table.template_counts[tid]), a))
 
-    # Only scored lines are visited, with no call once their row and pair were seen.
-    rows = zip(count(1), assignment, attribute_sets, signatures)
+    # Only scored lines are visited, with no call once their sequence and pair were seen.
+    rows = zip(count(1), mining.sequence_ids, mining.assignment, signatures)
     by_row, contexts, scores = {}, table.context_counts, {}
-    for index, tid, attrs, sig in rows if include_normal else compress(rows, anomalous):
-        t, a, by_pair = by_row.get((tid, attrs)) or head(tid, attrs)
+    for index, sid, tid, sig in rows if include_normal else compress(rows, anomalous):
+        t, a, by_pair = by_row.get(sid) or head(sid, tid)
         pair = contexts[sig]
         scores[index] = by_pair.get(pair) or by_pair.setdefault(pair, triple(t, a, fraction(pair)))
     return scores

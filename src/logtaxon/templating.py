@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import count
 from sys import intern
 from typing import Callable, Mapping, Sequence
 
@@ -229,8 +232,8 @@ class _Forest:
     `templates` holds every template's tokens, which pass 1 refines in place,
     and `wildcards` their wildcard counts; a template's id is its position in
     both plus one. `epoch` moves whenever a template is created or a token refined
-    to a wildcard; pass 1 memoizes each sequence's template id under the epoch it left,
-    and pass 2 takes the ids memoized at the final epoch as they are.
+    to a wildcard, so a sequence settled at the current epoch is one `learn` would
+    leave where it is.
     """
 
     def __init__(self, config: MinerConfig):
@@ -239,7 +242,6 @@ class _Forest:
         self.templates: list[list[str]] = []
         self.wildcards: list[int] = []
         self.epoch = 0
-        self.memo: dict[TokenSequence, tuple[int, int]] = {}
 
     def _routing_tokens(self, tokens: Sequence[str]) -> Sequence[str]:
         # Never route on the last token; it stays available for similarity.
@@ -319,16 +321,13 @@ class _Forest:
         self.epoch += 1
         return tid
 
-    def learn(self, tokens: TokenSequence) -> int:
+    def learn(self, tokens: TokenSequence) -> tuple[int, bool]:
         """Pass-1 step: match-or-create a template and refine it.
 
-        A sequence learned before at the current epoch gets its stored id:
-        the forest is as that call left it, its template holding the sequence
-        at every literal position, so the full step would pick it and change nothing.
+        Returns the template id and whether the sequence is settled on it, i.e.
+        meets the threshold against it: until the epoch moves, learning it again
+        would pick the same id and change nothing.
         """
-        seen = self.memo.get(tokens)
-        if seen is not None and seen[0] == self.epoch:
-            return seen[1]
         leaf = self._descend(tokens, backtrack=False)
         tid, hits = self._best_match(leaf, tokens) if leaf is not None else (0, -1)
         if hits >= 0 and self._meets_threshold(hits, tokens):
@@ -344,9 +343,7 @@ class _Forest:
             hits = len(tokens) - tokens.count(WILDCARD)
         # A template made from literal "*" tokens can miss the threshold
         # against its own message, whose next copy then makes another template.
-        if self._meets_threshold(hits, tokens):
-            self.memo[tokens] = (self.epoch, tid)
-        return tid
+        return tid, self._meets_threshold(hits, tokens)
 
     def assign(self, tokens: Sequence[str]) -> int:
         """Pass-2 step: pick a template id from the frozen forest for a message.
@@ -366,13 +363,15 @@ class _Forest:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Frozen templates plus the per-line template id, in line order.
+    """Frozen templates plus each line's template id and sequence id, in line order.
 
-    Template id `tid` names `templates[tid - 1]`.
+    Template id `tid` names `templates[tid - 1]`; sequence ids number the distinct
+    masked sequences 0, 1, ... in order of first appearance.
     """
 
     templates: tuple[Template, ...]
     assignment: tuple[int, ...]
+    sequence_ids: array
 
 
 def mine_templates(
@@ -384,46 +383,49 @@ def mine_templates(
     """
     config = config or MinerConfig()
     forest = _Forest(config)
-    for tokens in sequences:  # order-dependent tree growth, keep sequential
-        forest.learn(tokens)
+    ids = defaultdict(count().__next__)  # {sequence: id}, in order of first appearance
+    sequence_ids = array("I", map(ids.__getitem__, sequences))
+    # Per sequence id: the epoch it was last settled at, and its template id then.
+    settled_at, tids = [-1] * len(ids), [0] * len(ids)
+    for tokens, sid in zip(sequences, sequence_ids):  # order-dependent tree growth
+        if settled_at[sid] != forest.epoch:
+            tid, settled = forest.learn(tokens)
+            if settled:
+                settled_at[sid], tids[sid] = forest.epoch, tid
 
-    # The forest is frozen now, so every copy of a sequence gets the same id. A
-    # sequence last learned at the final epoch keeps its pass-1 id: the forest
-    # is as that call left it, `learn`'s memo shows the full step would pick
-    # that id, and pass 2's walk reaches the leaf that pass 1's greedy walk did.
-    ids = {}
-    for tokens in dict.fromkeys(sequences):
-        epoch, tid = forest.memo.get(tokens, (None, 0))
-        ids[tokens] = tid if epoch == forest.epoch else forest.assign(tokens)
-    assignment = tuple(map(ids.__getitem__, sequences))
+    # The forest is frozen now, so every copy of a sequence gets the same id. One
+    # settled at the final epoch keeps its pass-1 id: the forest is as that `learn`
+    # left it, and pass 2's walk reaches the leaf that pass 1's greedy walk did.
+    rows = zip(ids, settled_at, tids)
+    tids = [tid if at == forest.epoch else forest.assign(tokens) for tokens, at, tid in rows]
+    assignment = tuple(map(tids.__getitem__, sequence_ids))
     templates = tuple(Template(tuple(map(intern, tokens))) for tokens in forest.templates)
-    return MiningResult(templates, assignment)
+    return MiningResult(templates, assignment, sequence_ids)
 
 
 def attributes_for_corpus(
     sequences: Sequence[TokenSequence], mining: MiningResult
 ) -> tuple[TokenSequence, ...]:
-    """Each line's masked tokens at its template's wildcard positions, in line order.
+    """Each sequence's masked tokens at its template's wildcard positions, by sequence id.
 
-    Lines of one masked sequence and template share one attribute tuple.
-    Raises ValueError when the assignment and the sequences differ in length.
+    Raises ValueError when `sequences` and the mining result's columns differ in
+    length, or the ids are not numbered in order of first appearance.
     """
-    # Per template id: its length, wildcard positions and {sequence: attributes};
-    # a dict, so that an id outside 1..len(templates) raises KeyError.
-    templates = enumerate(mining.templates, start=1)
-    shapes = {tid: (len(t.tokens), t.wildcard_positions, {}) for tid, t in templates}
+    templates = mining.templates
+    wildcards = [t.wildcard_positions for t in templates]
     attribute_sets: list[TokenSequence] = []
-    for tokens, tid in zip(sequences, mining.assignment, strict=True):
-        length, wildcards, seen = shapes[tid]
-        attrs = seen.get(tokens)
-        if attrs is None:
-            if len(tokens) != length:
-                raise RuntimeError(
-                    f"line {len(attribute_sets) + 1} has {len(tokens)} tokens but template "
-                    f"{tid} has {length}; the miner must keep lengths equal"
-                )
-            attrs = seen[tokens] = tuple(map(tokens.__getitem__, wildcards))
-        attribute_sets.append(attrs)
+    new = 0  # the id the next unseen sequence must have
+    for tokens, sid, tid in zip(sequences, mining.sequence_ids, mining.assignment, strict=True):
+        if sid < new:
+            continue
+        if sid > new:
+            raise ValueError("sequence ids must number the sequences in order of first appearance")
+        if not 0 < tid <= len(templates):  # else a list index wraps around
+            raise KeyError(tid)
+        if len(tokens) != len(templates[tid - 1].tokens):  # the miner keeps lengths equal
+            raise RuntimeError(f"sequence {sid} and its template {tid} differ in length")
+        attribute_sets.append(tuple(map(tokens.__getitem__, wildcards[tid - 1])))
+        new += 1
     return tuple(attribute_sets)
 
 

@@ -302,14 +302,3 @@ def test_synthetic_validation_errors():
         SyntheticSpec(templates=(), length=10)
     with pytest.raises(ValueError, match="anomaly_rate > 0"):
         SyntheticSpec(templates=("just this",), anomaly_rate=0.5)
-    with pytest.raises(ValueError, match="out of range"):
-        demo_spec(sequence_patterns=(0, 5))
-
-
-def test_sequence_patterns_drive_the_rhythm():
-    spec = demo_spec(anomaly_rate=0.0, sequence_patterns=(0, 0, 1), length=6)
-    corpus, _ = generate_synthetic(spec)
-    contents = [r.content for r in corpus]
-    assert contents[2] == "heartbeat ok"
-    assert contents[5] == "heartbeat ok"
-    assert all(c.startswith("login") for c in contents[:2])

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import logtaxon
 from logtaxon.cli import DEMO_SPEC_ANOMALY_TEMPLATES, DEMO_SPEC_POOLS, DEMO_SPEC_TEMPLATES
 from logtaxon.context import ContextBounds
 from logtaxon.ingest import (
@@ -123,31 +127,49 @@ def test_traced_peak_grows_under_100_bytes_per_repeated_line(tmp_path):
     assert (large - small) / 20_000 < 100
 
 
-def traced_peak_of_distinct_lines(tmp_path, length):
-    """Peak traced bytes of reading and analyzing `length` lines of one
-    template that share no content, as most lines of a real dump do."""
-    path = tmp_path / f"distinct-{length}.log"
+def write_distinct_lines(path, length):
+    """`length` lines of one template that share no content, as most lines of a real dump do."""
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(length):
             label = "ANOM" if i % 10 == 0 else "-"
             fh.write(f"{label} session s{i}k for u{i}x from h{i}q port p{i}z on tty{i % 7}\n")
+
+
+# Prints the peak traced bytes of reading and analyzing each file named on
+# the command line, one after the other in one interpreter.
+PEAKS_OF_ANALYSIS = """
+import sys, tracemalloc
+from logtaxon.ingest import read_dataset
+from logtaxon.pipeline import analyze_corpus
+for path in sys.argv[1:]:
     tracemalloc.start()
-    try:
-        corpus, _ = read_dataset(str(path))
-        analyze_corpus(corpus)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    analyze_corpus(read_dataset(path)[0])
+    print(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+"""
 
 
-# Traced peak bytes per distinct line, measured per interpreter since object
-# sizes differ between versions. Each line adds its content, tokens,
-# attribute tuple and four attribute-table keys. The peak falls where the
-# tokens are masked and interned, so it also grows with the strings the
-# process interned before: on 3.11 it reads 850 in a fresh interpreter, 911
-# with this test alone under pytest and 943 after the rest of the suite,
-# the figure kept here.
-BYTES_PER_DISTINCT_LINE = {(3, 10): 1150, (3, 11): 943, (3, 12): 697, (3, 13): 983}
+def traced_peaks_in_a_fresh_interpreter(*paths):
+    """The peaks measured in a new interpreter: in this one they would grow
+    with the strings that earlier tests interned."""
+    src = str(Path(logtaxon.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAKS_OF_ANALYSIS, *map(str, paths)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return [int(line) for line in proc.stdout.split()]
+
+
+# Traced peak bytes per distinct line in a fresh interpreter, measured per
+# interpreter since object sizes differ between versions: 912.3 on 3.10.13,
+# 848.3 on 3.11.7, 794.4 on 3.12.1, and 810.8 and 820.5 on 3.13.0 and 3.13.13.
+# The peak falls where each line's content is tokenized, its tokens masked
+# and interned.
+BYTES_PER_DISTINCT_LINE = {(3, 10): 913, (3, 11): 849, (3, 12): 795, (3, 13): 821}
 DISTINCT_LINE_MARGIN = 20
 
 
@@ -155,6 +177,8 @@ def test_traced_peak_per_distinct_line_stays_within_its_margin(tmp_path):
     measured = BYTES_PER_DISTINCT_LINE.get(
         sys.version_info[:2], max(BYTES_PER_DISTINCT_LINE.values())
     )
-    small = traced_peak_of_distinct_lines(tmp_path, 20_000)
-    large = traced_peak_of_distinct_lines(tmp_path, 40_000)
-    assert (large - small) / 20_000 < measured + DISTINCT_LINE_MARGIN
+    small, large = tmp_path / "distinct-20000.log", tmp_path / "distinct-40000.log"
+    write_distinct_lines(small, 20_000)
+    write_distinct_lines(large, 40_000)
+    small_peak, large_peak = traced_peaks_in_a_fresh_interpreter(small, large)
+    assert (large_peak - small_peak) / 20_000 < measured + DISTINCT_LINE_MARGIN

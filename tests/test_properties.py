@@ -3,6 +3,7 @@
 import os
 import re
 import tempfile
+from array import array
 from fractions import Fraction
 from itertools import compress
 
@@ -22,6 +23,7 @@ from logtaxon.templating import (
     DEFAULT_MASK_RULES,
     MaskRule,
     MinerConfig,
+    MiningResult,
     mine_templates,
     tokenize,
     tokenize_corpus,
@@ -198,13 +200,20 @@ def test_mining_repeated_sequences_matches_the_naive_reference_miner(token_lists
 @settings(max_examples=500, deadline=None)
 @given(miner_inputs | repetitive_inputs, tree_shapes)
 def test_pass_1_ids_at_the_final_epoch_are_what_pass_2_assigns(token_lists, config):
+    # Every line is learned, settled or not: learning a sequence settled at the
+    # current epoch must pick its settled id and leave the forest as it was.
     forest = templating._Forest(config)
+    settled = {}  # sequence: (epoch, template id) of its last settling
     for tokens in token_lists:
-        forest.learn(tokens)
-    for tokens in set(token_lists):
-        seen = forest.memo.get(tokens)
-        if seen is not None and seen[0] == forest.epoch:
-            assert forest.assign(tokens) == seen[1]
+        epoch, seen = forest.epoch, settled.get(tokens)
+        tid, ok = forest.learn(tokens)
+        if seen is not None and seen[0] == epoch:
+            assert (tid, ok, forest.epoch) == (seen[1], True, epoch)
+        if ok:
+            settled[tokens] = (forest.epoch, tid)
+    for tokens, (epoch, tid) in settled.items():
+        if epoch == forest.epoch:
+            assert forest.assign(tokens) == tid
 
 
 # Random ids, or one id through the whole corpus; bounds up to past either end.
@@ -231,7 +240,8 @@ def test_template_score_is_exact_fraction(anomalous, normal):
     if anomalous + normal == 0:
         return
     table = CountTable({1: (anomalous, normal)}, {}, {(): (1, 0)})
-    score = score_corpus(b"\1", table, [1], ((),), ((),))[1].template_score
+    one_line = MiningResult((), (1,), array("I", [0]))
+    score = score_corpus(b"\1", table, one_line, ((),), ((),))[1].template_score
     assert score == Fraction(anomalous, anomalous + normal)
     assert 0 <= score <= 1
 

@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -14,22 +15,31 @@ def labeled(*labels):
     return bytes(ch == "A" for ch in labels)
 
 
+def columns(assignment, attribute_sets=None):
+    """A mining result of lines with these template ids and attribute tuples, and
+    its attribute table by sequence id; lines equal in both share a sequence."""
+    rows = {}
+    lines = zip(assignment, attribute_sets or ((),) * len(assignment))
+    sequence_ids = array("I", [rows.setdefault(row, len(rows)) for row in lines])
+    return MiningResult((), tuple(assignment), sequence_ids), tuple(attrs for _, attrs in rows)
+
+
 def table_for(labels, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
-    attribute_sets = attribute_sets or ((),) * len(labels)
     signatures = build_all_contexts(assignment, bounds)
-    return build_count_table(labels, assignment, attribute_sets, signatures, scope), signatures
+    mining, attrs = columns(assignment, attribute_sets)
+    return build_count_table(labels, mining, attrs, signatures, scope), signatures
 
 
 def score_one(table, template_id=1, attributes=(), signature=NO_CONTEXT):
     """Score triple of a single anomalous message with these keys, through score_corpus."""
-    return score_corpus(labeled("A"), table, [template_id], (attributes,), (signature,))[1]
+    return score_corpus(labeled("A"), table, *columns([template_id], [attributes]), (signature,))[1]
 
 
 def scores_for(labels, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
     """Counts and scores every line, normal ones included."""
-    attribute_sets = attribute_sets or ((),) * len(labels)
     table, sigs = table_for(labels, assignment, attribute_sets, bounds, scope)
-    scores = score_corpus(labels, table, assignment, attribute_sets, sigs, include_normal=True)
+    mining, attrs = columns(assignment, attribute_sets)
+    scores = score_corpus(labels, table, mining, attrs, sigs, include_normal=True)
     return table, sigs, scores
 
 
@@ -157,7 +167,7 @@ def test_context_score_unknown_signature():
 def test_score_corpus_covers_anomalous_records_only():
     labels = labeled("N", "A", "N", "A")
     table, sigs = table_for(labels, [1, 1, 2, 2])
-    scores = score_corpus(labels, table, [1, 1, 2, 2], ((),) * 4, sigs)
+    scores = score_corpus(labels, table, *columns([1, 1, 2, 2]), sigs)
     assert sorted(scores) == [2, 4]
     assert scores[2].template_score == Fraction(1, 2)
     assert scores[2].attribute_score is None
@@ -166,7 +176,7 @@ def test_score_corpus_covers_anomalous_records_only():
 def test_score_corpus_include_normal():
     labels = labeled("N", "A")
     table, sigs = table_for(labels, [1, 1])
-    scores = score_corpus(labels, table, [1, 1], ((), ()), sigs, include_normal=True)
+    scores = score_corpus(labels, table, *columns([1, 1]), sigs, include_normal=True)
     assert sorted(scores) == [1, 2]
 
 
@@ -196,15 +206,17 @@ def test_count_conservation():
     assert anom == sum(labels)
 
 
-# Each stage is given two lines but a one-entry assignment.
+# Each stage is given two lines but a mining result of one.
 @pytest.mark.parametrize(
     "stage",
     [
-        lambda labels: build_count_table(labels, [1], ((), ()), ((), ())),
+        lambda labels: build_count_table(labels, *columns([1]), ((), ())),
         lambda labels: score_corpus(
-            labels, CountTable({1: (1, 1)}, {}, {(): (1, 1)}), [1], ((), ()), ((), ())
+            labels, CountTable({1: (1, 1)}, {}, {(): (1, 1)}), *columns([1]), ((), ())
         ),
-        lambda labels: attributes_for_corpus(((), ()), MiningResult((Template(()),), (1,))),
+        lambda labels: attributes_for_corpus(
+            ((), ()), MiningResult((Template(()),), (1,), array("I", [0]))
+        ),
     ],
     ids=["build_count_table", "score_corpus", "attributes_for_corpus"],
 )
@@ -215,30 +227,37 @@ def test_stages_check_alignment(stage):
 
 ALIGNED_TABLE = CountTable({1: (2, 1)}, {"x": (2, 1)}, {(): (2, 1)})
 MISALIGNED_STAGES = {
-    "count-global": lambda c, a, s, g: build_count_table(c, a, s, g),
-    "count-per-position": lambda c, a, s, g: build_count_table(c, a, s, g, "per-position"),
-    "score-anomalous": lambda c, a, s, g: score_corpus(c, ALIGNED_TABLE, a, s, g),
-    "score-all": lambda c, a, s, g: score_corpus(c, ALIGNED_TABLE, a, s, g, include_normal=True),
+    "count-global": lambda c, m, s, g: build_count_table(c, m, s, g),
+    "count-per-position": lambda c, m, s, g: build_count_table(c, m, s, g, "per-position"),
+    "score-anomalous": lambda c, m, s, g: score_corpus(c, ALIGNED_TABLE, m, s, g),
+    "score-all": lambda c, m, s, g: score_corpus(c, ALIGNED_TABLE, m, s, g, include_normal=True),
 }
 
 
 @pytest.mark.parametrize("stage", MISALIGNED_STAGES)
-@pytest.mark.parametrize("which", ["anomalous", "assignment", "attribute_sets", "signatures"])
+@pytest.mark.parametrize(
+    "which", ["anomalous", "assignment", "sequence_ids", "attribute_sets", "signatures"]
+)
 @pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
 def test_count_and_score_reject_every_misaligned_input(stage, which, change):
     # The last line is anomalous, so a loop that stopped at the shortest
-    # input would still count or score something rather than fail.
+    # input would still count or score something rather than fail. The
+    # attribute table holds one entry per sequence id, here the one id 0.
     inputs = {
         "anomalous": labeled("N", "A", "A"),
-        "assignment": [1, 1, 1],
-        "attribute_sets": [("x",)] * 3,
+        "assignment": (1, 1, 1),
+        "sequence_ids": array("I", [0, 0, 0]),
+        "attribute_sets": (("x",),),
         "signatures": [()] * 3,
     }
     inputs[which] = inputs[which][:change] if change < 0 else inputs[which] + inputs[which][:1]
+    mining = MiningResult((), inputs["assignment"], inputs["sequence_ids"])
     with pytest.raises(ValueError):
-        MISALIGNED_STAGES[stage](*inputs.values())
+        MISALIGNED_STAGES[stage](
+            inputs["anomalous"], mining, inputs["attribute_sets"], inputs["signatures"]
+        )
 
 
 def test_build_count_table_rejects_unknown_scope():
     with pytest.raises(ValueError):
-        build_count_table(labeled("A"), [1], ((),), ((),), "per-template")
+        build_count_table(labeled("A"), *columns([1]), ((),), "per-template")

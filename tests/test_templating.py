@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+from array import array
 
 import pytest
 
@@ -289,15 +290,17 @@ def test_attribute_sets_are_one_tuple_per_sequence_and_template():
         "Start printer service at node wally005",
     )
     mining = mine_templates(corpus)
+    assert mining.sequence_ids == array("I", [0, 1, 0, 1])
     attrs = attributes_for_corpus(corpus, mining)
-    assert attrs == (("mail", "wally001"), ("printer", "wally005")) * 2
-    assert attrs[0] is attrs[2] and attrs[1] is attrs[3]
-    # One sequence on two templates gives two tuples, one per template.
-    tpl = mining.templates[0]
-    two_ids = MiningResult((tpl, Template(tpl.tokens)), (1, 1, 2, 1))
-    attrs = attributes_for_corpus(corpus, two_ids)
-    assert attrs[0] == attrs[2] and attrs[0] is not attrs[2]
-    assert attrs[1] is attrs[3]
+    assert attrs == (("mail", "wally001"), ("printer", "wally005"))
+
+
+def test_attributes_reject_sequence_ids_out_of_first_seen_order():
+    corpus = sequences_of("a b", "c d e")
+    mining = mine_templates(corpus)
+    for ids in ([1, 0], [0, 2]):
+        with pytest.raises(ValueError):
+            attributes_for_corpus(corpus, MiningResult(mining.templates, (1, 2), array("I", ids)))
 
 
 def test_dissimilar_messages_split_templates():
@@ -448,9 +451,10 @@ def test_repeated_lines_match_the_reference_miner(lines, config, expected, assig
 
 
 def test_pass_2_assigns_only_sequences_pass_1_left_unsettled(monkeypatch):
-    # "a b c" was learned before "a b d" refined its template, so its memo
-    # entry is stale; "* * z" misses the threshold against its own template
-    # and has none; "p q" was learned last, at the final epoch.
+    # "a b c" settled before "a b d" refined its template, and "a b d" before
+    # "* * z" made one, so both settled at an epoch that has since moved;
+    # "* * z" misses the threshold against its own template and never
+    # settles; "p q" settled last, at the final epoch.
     lines = ["a b c", "a b d", "* * z", "p q", "p q"]
     assigned = []
     assign = templating._Forest.assign
@@ -465,6 +469,27 @@ def test_pass_2_assigns_only_sequences_pass_1_left_unsettled(monkeypatch):
     assert sorted(assigned) == ["* * z", "a b c", "a b d"]
     assert templates_of(mining) == split("a b *", "* * z", "p q")
     assert mining.assignment == (1, 1, 2, 3, 3)
+    reference = naive_mine(split(*lines), 4, 0.5, 100)
+    assert ([t.tokens for t in mining.templates], mining.assignment) == reference
+
+
+def test_pass_1_learns_a_settled_sequence_again_only_after_the_epoch_moves(monkeypatch):
+    # The second "p q" is settled at the current epoch and skipped; each
+    # "* * z" misses the threshold, so it never settles and makes a template
+    # each time, which moves the epoch under the last "p q".
+    lines = ["p q", "p q", "* * z", "* * z", "p q"]
+    learned = []
+    learn = templating._Forest.learn
+
+    def counting(self, tokens):
+        learned.append(" ".join(tokens))
+        return learn(self, tokens)
+
+    monkeypatch.setattr(templating._Forest, "learn", counting)
+    config = MinerConfig(similarity_threshold=0.5)
+    mining = mine_templates(split(*lines), config)  # unmasked, so "*" reaches the miner
+    assert learned == ["p q", "* * z", "* * z", "p q"]
+    assert templates_of(mining) == split("p q", "* * z", "* * z")
     reference = naive_mine(split(*lines), 4, 0.5, 100)
     assert ([t.tokens for t in mining.templates], mining.assignment) == reference
 
@@ -561,7 +586,7 @@ def test_extract_attributes_checks_length():
     corpus = sequences_of("a b c", "a b")
     mining = mine_templates(corpus)
     # Record 2 put on record 1's three-token template.
-    misassigned = MiningResult(mining.templates, (mining.assignment[0],) * 2)
+    misassigned = MiningResult(mining.templates, (mining.assignment[0],) * 2, mining.sequence_ids)
     with pytest.raises(RuntimeError):
         attributes_for_corpus(corpus, misassigned)
 
@@ -574,7 +599,9 @@ def test_attributes_reject_an_id_outside_the_templates():
     assert len(mining.templates) == 2
     for tid in (0, len(mining.templates) + 1):
         with pytest.raises(KeyError):
-            attributes_for_corpus(corpus[:1], MiningResult(mining.templates, (tid,)))
+            attributes_for_corpus(
+                corpus[:1], MiningResult(mining.templates, (tid,), array("I", [0]))
+            )
 
 
 def test_miner_config_validation():
@@ -601,7 +628,7 @@ def test_forest_round_trip(tmp_path):
     path = tmp_path / "forest.json"
     table = build_count_table(
         bytes([0, 1, 0]),
-        mining.assignment,
+        mining,
         attributes_for_corpus(corpus, mining),
         build_all_contexts(mining.assignment),
     )
