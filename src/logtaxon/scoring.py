@@ -93,14 +93,14 @@ def build_count_table(
     if anomalous.translate(None, b"\0\1"):  # else a line would count as both
         raise ValueError("the label column holds a byte other than 0 and 1")
     normal = anomalous.translate(bytes.maketrans(b"\0\1", b"\1\0"))
-    keys = attribute_sets  # per sequence id, the attribute-table key of each token
-    if attribute_scope == "per-position":
-        tid_of = dict(zip(mining.sequence_ids, mining.assignment))
-        keys = [tuple(zip(repeat(tid_of[sid]), count(), a)) for sid, a in enumerate(keys)]
 
     def attribute_keys(kept: bytes) -> Iterable:
         """The attribute-table key of every token of the kept lines."""
-        return chain.from_iterable(map(keys.__getitem__, compress(mining.sequence_ids, kept)))
+        attrs = map(attribute_sets.__getitem__, compress(mining.sequence_ids, kept))
+        if attribute_scope == "global":
+            return chain.from_iterable(attrs)
+        tids = map(repeat, compress(mining.assignment, kept))
+        return chain.from_iterable(map(zip, tids, map(count, repeat(0)), attrs))
 
     return CountTable(
         _tally(compress(mining.assignment, anomalous), compress(mining.assignment, normal)),
