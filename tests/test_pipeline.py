@@ -153,10 +153,10 @@ def traced_peaks_in_a_fresh_interpreter(*paths):
     """The peaks measured in a new interpreter: in this one they would grow
     with the strings that earlier tests interned."""
     src = str(Path(logtaxon.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", PEAKS_OF_ANALYSIS, *map(str, paths)],
-        env=env,
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
