@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -152,39 +151,29 @@ def _format_for(args: argparse.Namespace) -> DatasetFormat:
     )
 
 
-def _score_fields(triple: ScoreTriple) -> tuple[str, ...]:
-    """A scores.csv row's nine fraction fields: the three floats, then each num and den."""
+def _score_fields(triple: ScoreTriple) -> str:
+    """A scores.csv row's nine fraction fields, joined: the three floats, then each num and den."""
     floats, exact = [], []
     for value in (triple.template_score, triple.attribute_score, triple.context_score):
         floats.append("" if value is None else f"{float(value):.6f}")
         exact += ("", "") if value is None else (str(value.numerator), str(value.denominator))
-    return (*floats, *exact)
+    return ",".join(floats + exact)
 
 
+# No field of either dump holds a comma, a quote or a line break, so rows are
+# joined as they are, with nothing to quote.
 def _write_scores_csv(analysis: Analysis, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "index",
-                "templateId",
-                "alpha",
-                "beta",
-                "gamma",
-                "alpha_num",
-                "alpha_den",
-                "beta_num",
-                "beta_den",
-                "gamma_num",
-                "gamma_den",
-            ]
+        fh.write(
+            "index,templateId,alpha,beta,gamma,"
+            "alpha_num,alpha_den,beta_num,beta_den,gamma_num,gamma_den\n"
         )
         # Messages share their triples, so each distinct object is formatted once.
         triples = analysis.scores.values()
         fields = {key: _score_fields(t) for key, t in dict(zip(map(id, triples), triples)).items()}
         assignment = analysis.mining.assignment
-        writer.writerows(
-            (index, assignment[index - 1], *fields[id(triple)])
+        fh.writelines(
+            f"{index},{assignment[index - 1]},{fields[id(triple)]}\n"
             for index, triple in analysis.scores.items()
         )
 
@@ -192,10 +181,9 @@ def _write_scores_csv(analysis: Analysis, path: Path) -> None:
 def _write_contexts_csv(analysis: Analysis, path: Path) -> None:
     names = [str(tid) for tid in range(len(analysis.mining.templates) + 1)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "templateIds"])
-        writer.writerows(
-            (index, " ".join(map(names.__getitem__, sig)))
+        fh.write("index,templateIds\n")
+        fh.writelines(
+            f"{index},{' '.join(map(names.__getitem__, sig))}\n"
             for index, sig in enumerate(analysis.signatures, start=1)
         )
 
@@ -222,8 +210,10 @@ def _run_analyze(args: argparse.Namespace) -> int:
             f"skipped {summary.malformed_skipped} malformed of {summary.lines_read} lines",
             file=sys.stderr,
         )
-    print(f"parsed {len(corpus)} records; mining templates ...", file=sys.stderr)
-
+    records = len(corpus)
+    print(f"parsed {records} records; mining templates ...", file=sys.stderr)
+    # Only the iterator holds the records, so they go once they are tokenized.
+    corpus = iter(corpus)
     analysis = analyze_corpus(
         corpus,
         miner_config=miner,
@@ -235,7 +225,7 @@ def _run_analyze(args: argparse.Namespace) -> int:
             "input": os.path.basename(args.input),
             "preset": args.preset,
             "limit": args.limit,
-            "records": len(corpus),
+            "records": records,
             "malformedSkipped": summary.malformed_skipped,
         },
     )

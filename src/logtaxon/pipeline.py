@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .context import ContextBounds, ContextSignature, build_all_contexts
 from .model import LogRecord, TokenSequence
@@ -31,7 +31,7 @@ def anomalous_flags(corpus: Sequence[LogRecord]) -> bytes:
 
 
 def analyze_corpus(
-    corpus: Sequence[LogRecord],
+    corpus: Iterable[LogRecord],
     *,
     miner_config: MinerConfig | None = None,
     bounds: ContextBounds | None = None,
@@ -40,19 +40,20 @@ def analyze_corpus(
     include_normal_scores: bool = False,
     source: Mapping[str, object] | None = None,
 ) -> Analysis:
-    """Run the full pipeline over a raw (untokenized) corpus.
+    """Run the full pipeline over a raw (untokenized) corpus, read once.
 
-    The report's config block echoes the analysis parameters so a run can be
-    reproduced from its own output. Raises ValueError("empty corpus") when
-    the corpus holds no record.
+    The corpus may be any iterable of records; records only an iterator holds
+    are freed once tokenized. The report's config block echoes the analysis
+    parameters so a run can be reproduced from its own output. Raises
+    ValueError("empty corpus") when the corpus holds no record.
     """
-    if not corpus:
-        raise ValueError("empty corpus")
     miner_config = miner_config or MinerConfig()
     bounds = bounds or ContextBounds()
     sweep = sweep or ThresholdSweep()
 
     tokenized = tokenize_corpus(corpus, miner_config.mask_rules)
+    if not tokenized:
+        raise ValueError("empty corpus")
     # Later stages read per-line columns, not records: the records go before
     # mining, and the sequence column once attributes are read.
     sequences = [rec.tokens for rec in tokenized]

@@ -15,10 +15,10 @@ import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import count
 from sys import intern
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import LogRecord, TokenSequence
 
@@ -123,12 +123,18 @@ def load_mask_rules(path: str) -> tuple[MaskRule, ...]:
     return tuple(rules)
 
 
+# A masker memo's entries: bounded, as a dump's distinct raw tokens (numbers, hex)
+# grow with its lines. On mostly distinct lines, 2**12 entries missed so often that
+# tokenizing slowed up to twofold, and 2**16 took more memory than no bound at all.
+_MASK_MEMO_SIZE = 1 << 14
+
+
 def _masker(rules: Sequence[MaskRule]) -> Callable[[str], str]:
     """A memoized function from a raw token to its masked form: the token
     rewritten by the first matching rule, or unchanged; interned."""
     compiled = [(rule.regex.fullmatch, rule.pieces) for rule in rules]
 
-    @cache
+    @lru_cache(maxsize=_MASK_MEMO_SIZE)
     def mask(token: str) -> str:
         for fullmatch, pieces in compiled:
             m = fullmatch(token)
@@ -145,9 +151,9 @@ def tokenize(content: str, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES) -> To
 
 
 def tokenize_corpus(
-    corpus: Sequence[LogRecord], rules: Sequence[MaskRule] = DEFAULT_MASK_RULES
+    corpus: Iterable[LogRecord], rules: Sequence[MaskRule] = DEFAULT_MASK_RULES
 ) -> tuple[LogRecord, ...]:
-    """Return a copy of the corpus with every record's tokens filled in.
+    """Return a copy of the corpus, read once, with every record's tokens filled in.
 
     Raw tokens and whole contents repeat enormously across a log, so masking
     is memoized per distinct token and tokenizing per distinct content, and

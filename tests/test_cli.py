@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from logtaxon import cli, templating
+from logtaxon import cli, pipeline, templating
 from logtaxon.cli import EXIT_INTERNAL, main
 from logtaxon.context import ContextBounds
-from logtaxon.ingest import DatasetFormat, read_dataset
+from logtaxon.ingest import DatasetFormat, IngestSummary, read_dataset
+from logtaxon.model import LogRecord
 from logtaxon.pipeline import analyze_corpus
 
 
@@ -167,6 +169,32 @@ def test_score_normal_scores_normal_lines_only_for_a_dump(tmp_path, demo_log, mo
     rc, _ = run_analyze(tmp_path, demo_log, "--score-normal", *["--dump-scores"] * dump)
     assert rc == 0
     assert seen == [dump]
+
+
+class WeakRecord(LogRecord):
+    """A record that, unlike a slotted LogRecord, can be weakly referenced."""
+
+
+def test_read_records_are_freed_before_mining(tmp_path, demo_log, monkeypatch):
+    refs = []
+
+    def read_weak_records(path, fmt, limit=None):
+        corpus = tuple(WeakRecord(i % 10 == 0, f"job {i} done") for i in range(20_000))
+        refs.extend(map(weakref.ref, corpus))
+        return corpus, IngestSummary(len(corpus), 0)
+
+    alive, mine_templates = [], pipeline.mine_templates
+
+    def mine_counting_live_records(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return mine_templates(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_dataset", read_weak_records)
+    monkeypatch.setattr(pipeline, "mine_templates", mine_counting_live_records)
+    rc, out_dir = run_analyze(tmp_path, demo_log)
+    assert rc == 0
+    assert alive == [0]
+    assert json.loads((out_dir / "report.json").read_text())["source"]["records"] == 20_000
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, demo_log):

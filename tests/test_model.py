@@ -9,6 +9,11 @@ def test_split_corpus_rejects_empty():
         analyze_corpus(())
 
 
+def test_an_empty_iterator_is_an_empty_corpus():
+    with pytest.raises(ValueError, match="empty corpus"):
+        analyze_corpus(iter(()))
+
+
 def test_records_are_immutable():
     r = LogRecord(False, "a")
     with pytest.raises(AttributeError):

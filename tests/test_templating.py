@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import sys
 from array import array
 
 import pytest
@@ -256,6 +257,21 @@ def test_each_rule_masks_each_distinct_raw_token_once():
     expected = [("NUM", t) for t in ("retry", "17", "of", "255", "9", "X")]
     expected += [("WORD", t) for t in ("retry", "of", "X")]
     assert sorted(calls) == sorted(expected)
+
+
+def test_tokens_evicted_from_the_mask_memo_mask_and_intern_as_before():
+    # More distinct raw tokens than the memo holds, masked ("17", "0x11f",
+    # "key=77a") and left alone ("u17"), among repeated words. The second
+    # round's contents are new, so their tokens are masked again, and those
+    # the first round's later lines evicted miss the memo once more.
+    n = templating._MASK_MEMO_SIZE + 500
+    contents = [f"get {i} key 0x{i:x}f by u{i} key={7 * i:x}a ok" for i in range(n)]
+    contents += [f"put u{i} key={7 * i:x}a by 0x{i:x}f at {i}" for i in range(n)]
+    assert len({tok for c in contents for tok in c.split()}) > 4 * templating._MASK_MEMO_SIZE
+    corpus = tokenize_corpus(LogRecord(i % 7 == 0, c) for i, c in enumerate(contents))
+    assert [rec.tokens for rec in corpus] == [tokenize(c) for c in contents]
+    assert corpus[n].tokens == ("put", "u0", "key=<:HEX:>", "by", "<:HEX:>", "at", "<:NUM:>")
+    assert all(tok is sys.intern(tok) for rec in corpus for tok in rec.tokens)
 
 
 # --- mining ----------------------------------------------------------------
