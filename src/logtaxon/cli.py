@@ -179,13 +179,18 @@ def _write_scores_csv(analysis: Analysis, path: Path) -> None:
 
 
 def _write_contexts_csv(analysis: Analysis, path: Path) -> None:
-    names = [str(tid) for tid in range(len(analysis.mining.templates) + 1)]
+    # Masks decode a byte at a time: tables[k][b] joins, ascending, the ids set when byte k is b.
+    tables = [
+        [" ".join(str(8 * k + bit) for bit in range(8) if b >> bit & 1) for b in range(256)]
+        for k in range(len(analysis.mining.templates) // 8 + 1)
+    ]
+    rows = (
+        filter(None, map(list.__getitem__, tables, sig.to_bytes(len(tables), "little")))
+        for sig in analysis.signatures
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("index,templateIds\n")
-        fh.writelines(
-            f"{index},{' '.join(map(names.__getitem__, sig))}\n"
-            for index, sig in enumerate(analysis.signatures, start=1)
-        )
+        fh.writelines(f"{index},{' '.join(row)}\n" for index, row in enumerate(rows, start=1))
 
 
 def _run_analyze(args: argparse.Namespace) -> int:

@@ -1,8 +1,8 @@
 """Context signatures: which templates surround a message in the sequence.
 
 A signature is the set of template ids seen in a bounded window before and
-after a position, excluding the position itself, held as a tuple of the
-distinct ids in ascending order. Windows clip silently at the corpus edges,
+after a position, excluding the position itself, held as one `int` whose bit
+`tid` is set for each id in it. Windows clip silently at the corpus edges,
 so early and late messages simply have smaller neighborhoods.
 """
 
@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import Sequence
 
-ContextSignature = tuple[int, ...]
+
+class ContextSignature(int):
+    """A set of template ids as a bitmask: an `int` whose `len` counts the ids."""
+
+    __slots__ = ()
+    __len__ = int.bit_count
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,15 +38,17 @@ def build_all_contexts(
     """Signature of every position, order-aligned with the assignment.
 
     The window slides over a count per template id: each step adds the ids
-    entering it, then removes those leaving, the centre among them. A sorted
-    tuple is built only when a count crosses 0, else the last one is reused,
-    and equal signatures are one shared tuple.
+    entering it, then removes those leaving, the centre among them, flipping
+    an id's bit when its count leaves or returns to 0. Equal signatures are
+    one shared object. Raises ValueError for a negative id.
     """
     before, after, n = bounds.before, bounds.after, len(assignment)
-    counts: dict[int, int] = {}
-    get = counts.get
+    if min(assignment, default=0) < 0:
+        raise ValueError("template ids must be non-negative")
+    counts, mask = [0] * (max(assignment, default=-1) + 1), 0
     for tid in assignment[1 : 1 + after]:
-        counts[tid] = get(tid, 0) + 1
+        counts[tid] += 1
+        mask |= 1 << tid
     # Step i >= 1 adds the ids at i - 1 and i + after and removes those at
     # i - 1 - before and i, with None where the bounds or an edge leave no id.
     none = repeat(None)
@@ -51,26 +58,27 @@ def build_all_contexts(
         chain(repeat(None, before), assignment) if before else none,
         islice(assignment, 1, None) if after else none,
     )
-    canon, signatures, changed = {}, [], True
+    # Keyed by the signature itself: a plain-int key would keep a second int per window.
+    canon, signatures, sig = {}, [], None
     for enter, enter_after, leave, leave_after in islice(chain([(None,) * 4], steps), n):
         if enter is not None:
-            count = counts[enter] = get(enter, 0) + 1
-            changed = count == 1
+            count = counts[enter] = counts[enter] + 1
+            if count == 1:
+                mask ^= 1 << enter
         if enter_after is not None:
-            count = counts[enter_after] = get(enter_after, 0) + 1
-            changed = changed or count == 1
+            count = counts[enter_after] = counts[enter_after] + 1
+            if count == 1:
+                mask ^= 1 << enter_after
         if leave is not None:
             count = counts[leave] = counts[leave] - 1
             if not count:
-                del counts[leave]
-                changed = True
+                mask ^= 1 << leave
         if leave_after is not None:
             count = counts[leave_after] = counts[leave_after] - 1
             if not count:
-                del counts[leave_after]
-                changed = True
-        if changed:
-            sig = tuple(sorted(counts))
-            sig, changed = canon.setdefault(sig, sig), False
+                mask ^= 1 << leave_after
+        if mask != sig:
+            sig = ContextSignature(mask)
+            sig = canon.setdefault(sig, sig)
         signatures.append(sig)
     return tuple(signatures)

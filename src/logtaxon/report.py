@@ -35,13 +35,7 @@ def _as_threshold(value: float | str | int | Fraction) -> Fraction:
     return t
 
 
-DEFAULT_THRESHOLDS: tuple[Fraction, ...] = (
-    Fraction(6, 10),
-    Fraction(7, 10),
-    Fraction(8, 10),
-    Fraction(9, 10),
-    Fraction(1),
-)
+DEFAULT_THRESHOLDS: tuple[Fraction, ...] = tuple(Fraction(n, 10) for n in range(6, 11))
 
 
 @dataclass(frozen=True)
@@ -230,17 +224,5 @@ def sweep_report(
                 classified += weight
                 for kind in kinds:
                     counts[kind] += weight
-        rows.append(
-            ThresholdRow(
-                threshold=t,
-                counts=counts,
-                classified=classified,
-                unclassified=len(scores) - classified,
-            )
-        )
-    return TaxonomyReport(
-        stats=stats,
-        rows=tuple(rows),
-        config=dict(config or {}),
-        source=dict(source or {}),
-    )
+        rows.append(ThresholdRow(t, counts, classified, len(scores) - classified))
+    return TaxonomyReport(stats, tuple(rows), dict(config or {}), dict(source or {}))

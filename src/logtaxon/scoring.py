@@ -58,7 +58,7 @@ class CountTable:
 def _check_aligned(anomalous: bytes, mining: MiningResult, attrs: Sequence, sigs: Sequence) -> None:
     if any(len(c) != len(anomalous) for c in (mining.assignment, mining.sequence_ids, sigs)):
         raise ValueError("the label column and the other per-line columns differ in length")
-    if len(attrs) != max(mining.sequence_ids, default=-1) + 1:
+    if len(attrs) != mining.sequence_count:
         raise ValueError("the attribute table does not hold one entry per sequence id")
 
 

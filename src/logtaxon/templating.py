@@ -379,6 +379,11 @@ class MiningResult:
     assignment: tuple[int, ...]
     sequence_ids: array
 
+    @cached_property
+    def sequence_count(self) -> int:
+        """How many sequence ids there are: one more than the largest."""
+        return max(self.sequence_ids, default=-1) + 1
+
 
 def mine_templates(
     sequences: Sequence[TokenSequence], config: MinerConfig | None = None

@@ -144,13 +144,18 @@ def naive_attributes(tokens, template_tokens):
 
 
 def naive_signature(assignment, index, before, after):
-    """Distinct template ids around 1-based `index`, ascending, walking indices one by one."""
+    """Mask of the distinct template ids around 1-based `index`, walking indices one by one."""
     ids = set()
     for j in range(index - before, index + after + 1):
         if j == index or j < 1 or j > len(assignment):
             continue
         ids.add(assignment[j - 1])
-    return tuple(sorted(ids))
+    return sum(1 << tid for tid in ids)
+
+
+def mask_ids(mask):
+    """The ids whose bits a signature mask sets, ascending, testing one bit at a time."""
+    return tuple(tid for tid in range(mask.bit_length()) if mask >> tid & 1)
 
 
 def reference_parse(text, header_fields=1, label_field=0, normal_token="-", limit=None):

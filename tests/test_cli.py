@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
+from oracle import mask_ids, naive_signature
 from logtaxon import cli, pipeline, templating
 from logtaxon.cli import EXIT_INTERNAL, main
-from logtaxon.context import ContextBounds
+from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.ingest import DatasetFormat, IngestSummary, read_dataset
 from logtaxon.model import LogRecord
 from logtaxon.pipeline import analyze_corpus
@@ -91,6 +93,23 @@ def test_contexts_csv_shape(tmp_path, demo_log):
     assert len(lines) == 401  # one per record
 
 
+def test_contexts_csv_decodes_ids_across_byte_and_word_boundaries(tmp_path):
+    # Ids on both sides of a byte, a 30-bit digit, a 64-bit word and wider boundaries.
+    ids = [7, 8, 30, 31, 63, 64, 255, 256, 1023, 1024]
+    assignment = ids + ids[::-1] + ids[::3] + [1024] * 3 + [7, 8, 7]
+    signatures = build_all_contexts(assignment, ContextBounds(before=5, after=4))
+    mining = SimpleNamespace(templates=(None,) * max(ids))
+    cli._write_contexts_csv(SimpleNamespace(mining=mining, signatures=signatures), tmp_path / "c.csv")
+
+    masks = [naive_signature(assignment, i, 5, 4) for i in range(1, len(assignment) + 1)]
+    header, *rows = (tmp_path / "c.csv").read_text().splitlines()
+    assert rows == [f"{i},{' '.join(map(str, mask_ids(m)))}" for i, m in enumerate(masks, start=1)]
+    assert set(ids) == {tid for m in masks for tid in mask_ids(m)}
+    for sig, mask in zip(signatures, masks, strict=True):
+        assert len(sig) == len(mask_ids(mask))
+        assert hash(sig) == hash(int(sig)) == hash(mask)
+
+
 @pytest.mark.parametrize("score_normal, after", [(False, 0), (True, 2)])
 def test_dumps_round_trip_to_the_analysis(tmp_path, score_normal, after):
     # "kernel halted" has no wildcard, so its attribute score is absent.
@@ -127,7 +146,7 @@ def test_dumps_round_trip_to_the_analysis(tmp_path, score_normal, after):
     header, *rows = (out_dir / "contexts.csv").read_text().splitlines()
     assert header == "index,templateIds"
     assert rows == [
-        f"{index},{' '.join(map(str, sig))}"
+        f"{index},{' '.join(map(str, mask_ids(sig)))}"
         for index, sig in enumerate(analysis.signatures, start=1)
     ]
     if not after:  # nothing precedes the first line, so its signature is empty

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import mask_ids
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.scoring import CountTable, ScoreTriple, build_count_table, score_corpus
 from logtaxon.templating import MiningResult, Template, attributes_for_corpus
 
-NO_CONTEXT = ()
+NO_CONTEXT = 0  # the empty signature
 
 
 def labeled(*labels):
@@ -119,13 +120,13 @@ def test_attribute_scope_per_position_separates_slots():
 
 
 def test_context_score_all_anomalous():
-    sig = (1, 2)
+    sig = 0b110  # ids 1 and 2
     table = CountTable({1: (4, 0)}, {}, {sig: (4, 0)})
     assert score_one(table, signature=sig).context_score == Fraction(1)
 
 
 def test_context_score_mixed():
-    sig = (3,)
+    sig = 0b1000  # id 3
     table = CountTable({1: (1, 3)}, {}, {sig: (1, 3)})
     assert score_one(table, signature=sig).context_score == Fraction(1, 4)
 
@@ -148,17 +149,17 @@ def test_inserted_message_gets_unique_context():
         (1, 3),
         (1, 2),
     ]
-    assert list(sigs) == expected
+    assert list(map(mask_ids, sigs)) == expected
     assert scores[5].context_score == Fraction(1)
     # The repeated rhythm signatures stay fully normal.
     assert scores[3].context_score == Fraction(0)
-    assert table.context_counts[(1, 2)] == (0, 2)
+    assert table.context_counts[0b110] == (0, 2)  # ids 1 and 2
 
 
 def test_context_score_unknown_signature():
     table = CountTable({1: (1, 0)}, {}, {})
     with pytest.raises(KeyError):
-        score_one(table, signature=(1,))
+        score_one(table, signature=0b10)
 
 
 # --- whole-column scoring ------------------------------------------------------
@@ -248,7 +249,7 @@ def test_count_and_score_reject_every_misaligned_input(stage, which, change):
         "assignment": (1, 1, 1),
         "sequence_ids": array("I", [0, 0, 0]),
         "attribute_sets": (("x",),),
-        "signatures": [()] * 3,
+        "signatures": [0] * 3,
     }
     inputs[which] = inputs[which][:change] if change < 0 else inputs[which] + inputs[which][:1]
     mining = MiningResult((), inputs["assignment"], inputs["sequence_ids"])
