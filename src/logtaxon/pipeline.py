@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .context import ContextBounds, ContextSignature, build_all_contexts
 from .model import LogRecord, TokenSequence
@@ -23,11 +23,6 @@ class Analysis:
     table: CountTable
     scores: dict[int, ScoreTriple]
     report: TaxonomyReport
-
-
-def anomalous_flags(corpus: Sequence[LogRecord]) -> bytes:
-    """The label column: a byte per record, 1 if anomalous."""
-    return bytes([rec.anomalous for rec in corpus])
 
 
 def analyze_corpus(
@@ -57,7 +52,7 @@ def analyze_corpus(
     # Later stages read per-line columns, not records: the records go before
     # mining, and the sequence column once attributes are read.
     sequences = [rec.tokens for rec in tokenized]
-    anomalous = anomalous_flags(tokenized)
+    anomalous = bytes([rec.anomalous for rec in tokenized])
     del tokenized
     mining = mine_templates(sequences, miner_config)
     attribute_sets = attributes_for_corpus(sequences, mining)

@@ -9,8 +9,6 @@ reaches it. Thresholds are exact rationals: "0.7" means 7/10, and a sweep at
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -162,15 +160,14 @@ class TaxonomyReport:
 
     def to_csv(self) -> str:
         """Percentage matrix, one row per threshold — plots straight into a figure."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        # No field holds a comma, a quote or a line break: nothing to quote.
         kinds = [f"{kind.value}_pct" for kind in AnomalyKind]
-        writer.writerow(["threshold", *kinds, "unclassified_pct"])
+        lines = [",".join(["threshold", *kinds, "unclassified_pct"])]
         total = self.stats.anomalous_messages
         for row in self.rows:
             shares = _shares(row, total)
-            writer.writerow([f"{float(row.threshold):g}", *(f"{p:.6f}" for p in shares)])
-        return buf.getvalue()
+            lines.append(",".join([f"{float(row.threshold):g}", *(f"{p:.6f}" for p in shares)]))
+        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         """Human-readable summary table."""

@@ -35,6 +35,7 @@ FLAG_SETS = {
         "--header-fields", "2", "--label-field", "1", "--normal-token", "session",
         "--limit", "1500", "--context-after", "2", *DUMPS,
     ),
+    "look-ahead": ("--context-before", "0", "--context-after", "3", *DUMPS),
     "no-rules": ("--mask-rules", "no-rules.json"),
     "no-rules-dense-dump": (
         "--mask-rules", "no-rules.json", "--context-before", "10", "--context-after", "10",
@@ -118,7 +119,7 @@ def artifact_digests(tmp_path, text, flags):
 
 
 CORPORA = {"synth": synth_corpus, "mixed": mixed_corpus, "starred": starred_corpus}
-MASKED = ("defaults", "dense-dump", "depth-6", "rules-strict", "header-label")
+MASKED = ("defaults", "dense-dump", "depth-6", "rules-strict", "header-label", "look-ahead")
 CASES = [(corpus, flags) for corpus in ("synth", "mixed") for flags in MASKED]
 CASES += [("starred", "no-rules"), ("starred", "no-rules-dense-dump")]
 
@@ -164,6 +165,13 @@ GOLDEN = {
         "scores.csv": "d17849b3896be977edd899b95ff2fdcc1bc48f600cad4f26ed892c79cfff83da",
         "templates.json": "62eb608e3a3b5be7c030f2ea39af3a64c9f4f4872ad28b1f1de6d3460592274f",
     },
+    ("synth", "look-ahead"): {
+        "contexts.csv": "3705b62da044acb237dc56202611ecdbc5e560126e709e10dc6988d5a6a72754",
+        "report.csv": "6d0f04ffad2d0fe409433062a6d39a63e8fd51f30679d43de9bb8fa9797d3d9c",
+        "report.json": "4373d77c1dab2d60d04151df7973b37fd5156e051db5f276d2d62993f09e77d4",
+        "scores.csv": "e9a27946d789bc8a9d4c6e154b20563d2891a2de7a384a88094249836b61aa82",
+        "templates.json": "abd0cafc535e5298d460afba849df1ac518f88dd0f4d1708fde127848db0d97e",
+    },
     ("mixed", "defaults"): {
         "report.csv": "becac33e0325dc5460c54e34e3d9cd4f6da82c517bba8892abed8e8ec9fce3bb",
         "report.json": "671b716aece9f61fd71ff9c6d61d2a8f2d3ff9ab9d586fc92682efffe5d6fdf5",
@@ -196,6 +204,13 @@ GOLDEN = {
         "report.json": "c7dd22218415db2687bdbcb724f130e6c06f688355ccd801988e7ac99edc6f7c",
         "scores.csv": "344f6b32504843fe1e59ccbf11b252c7a57b866e19b683fafaac081564ee419c",
         "templates.json": "7a01d609b04fba31f451a4fbf5492b97cb629176bcec550406cabdad5c36b077",
+    },
+    ("mixed", "look-ahead"): {
+        "contexts.csv": "12c66353060bf67b4721e8a8d4514020338ad7324f39633519f30356270f9aaf",
+        "report.csv": "df6f2dabc1cb905c7f41424a1de18c1daba1434aad7cef1a6fed931874f5a507",
+        "report.json": "4cf17a8dd2baa1ae128f0421d1f22f3a7f2d6a945ead9e012c7865035e64c857",
+        "scores.csv": "6f915887698d24b1386678466e0c8fb6f91d3e41df29b1346b4282bdfb72e296",
+        "templates.json": "6067138c95325a771369c209902f8035a2e87ecb3c04744139dd160a13d5dd72",
     },
     ("starred", "no-rules"): {
         "report.csv": "87de8627e64aed8671171fdd4ae13280a42e14900ad9efe7de8dd151c15143cd",

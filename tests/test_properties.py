@@ -16,7 +16,7 @@ from logtaxon import templating
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.ingest import DatasetFormat, read_dataset
 from logtaxon.model import AnomalyKind, LogRecord
-from logtaxon.pipeline import analyze_corpus, anomalous_flags
+from logtaxon.pipeline import analyze_corpus
 from logtaxon.report import DatasetStats, ThresholdSweep, classify, sweep_report
 from logtaxon.scoring import CountTable, ScoreTriple, score_corpus
 from logtaxon.templating import (
@@ -312,7 +312,7 @@ def test_pipeline_scores_match_brute_force(lines, before, after, scope, include_
     }
     assert got == expected
     # The report filter: of a map over every line, the scores of anomalous lines.
-    anomalous = anomalous_flags(corpus)
+    anomalous = bytes([rec.anomalous for rec in corpus])
     everything = brute_force_scores(*mined, scope, True)
     assert dict(compress(everything.items(), anomalous)) == brute_force_scores(*mined, scope)
     table = analysis.table
