@@ -23,8 +23,8 @@ from .ingest import (
 )
 from .pipeline import Analysis, analyze_corpus
 from .report import DEFAULT_THRESHOLDS, ThresholdSweep
-from .scoring import AttributeScope, ScoreTriple
-from .templating import DEFAULT_MASK_RULES, MinerConfig, load_mask_rules, save_forest
+from .scoring import ScoreTriple
+from .templating import DEFAULT_MASK_RULES, AttributeScope, MinerConfig, load_mask_rules, save_forest
 
 OUT_DIR_ENV = "LOGTAXON_OUT_DIR"
 

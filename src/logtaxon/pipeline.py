@@ -7,10 +7,12 @@ from itertools import compress
 from typing import Iterable, Mapping
 
 from .context import ContextBounds, ContextSignature, build_all_contexts
-from .model import LogRecord, TokenSequence
+from .model import LogRecord
 from .report import TaxonomyReport, ThresholdSweep, dataset_statistics, sweep_report
-from .scoring import AttributeScope, CountTable, ScoreTriple, build_count_table, score_corpus
-from .templating import MinerConfig, MiningResult, attributes_for_corpus, mine_templates, tokenize_corpus
+from .scoring import CountTable, ScoreTriple, build_count_table, score_corpus
+from .templating import (
+    AttributeScope, MinerConfig, MiningResult, attributes_for_corpus, mine_templates, tokenize_corpus
+)
 
 
 @dataclass(frozen=True)
@@ -18,7 +20,7 @@ class Analysis:
     """Everything one pipeline run produced, from mining to the final report."""
 
     mining: MiningResult
-    attribute_sets: tuple[TokenSequence, ...]  # by sequence id
+    attribute_sets: tuple[tuple, ...]  # attribute keys by sequence id
     signatures: tuple[ContextSignature, ...]
     table: CountTable
     scores: dict[int, ScoreTriple]
@@ -55,10 +57,10 @@ def analyze_corpus(
     anomalous = bytes([rec.anomalous for rec in tokenized])
     del tokenized
     mining = mine_templates(sequences, miner_config)
-    attribute_sets = attributes_for_corpus(sequences, mining)
+    attribute_sets = attributes_for_corpus(sequences, mining, attribute_scope)
     del sequences
     signatures = build_all_contexts(mining.assignment, bounds)
-    table = build_count_table(anomalous, mining, attribute_sets, signatures, attribute_scope)
+    table = build_count_table(anomalous, mining, attribute_sets, signatures)
     scores = score_corpus(
         anomalous, table, mining, attribute_sets, signatures, include_normal=include_normal_scores
     )

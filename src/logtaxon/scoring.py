@@ -13,16 +13,13 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, count, repeat
 from operator import mul
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .context import ContextSignature
-from .model import TokenSequence
 from .templating import MiningResult
 
 # (anomalous, normal) observation counts.
 CountPair = tuple[int, int]
-
-AttributeScope = Literal["global", "per-position"]
 _SPLIT = 1 << 62  # more occurrences of one key than any corpus holds
 
 
@@ -41,18 +38,16 @@ class ScoreTriple:
 
 @dataclass(frozen=True)
 class CountTable:
-    """Per-label occurrence counts for templates, attribute tokens, and signatures.
+    """Per-label occurrence counts for templates, attribute keys, and signatures.
 
-    Attribute keys depend on the scope: "global" pools a token's occurrences
-    across all templates and positions, "per-position" keys them by
-    (template id, wildcard slot, token) so the same token can score
-    differently in different holes. `build_count_table` fills Counters.
+    The attribute keys are those of the attribute table, as `attributes_for_corpus`
+    made them under its scope: tokens, or (template id, wildcard slot, token)
+    tuples. `build_count_table` fills Counters.
     """
 
     template_counts: Mapping[int, CountPair]
     attribute_counts: Mapping[object, CountPair]
     context_counts: Mapping[ContextSignature, CountPair]
-    attribute_scope: AttributeScope = "global"
 
 
 def _check_aligned(anomalous: bytes, mining: MiningResult, attrs: Sequence, sigs: Sequence) -> None:
@@ -75,38 +70,31 @@ def _tally(anomalous: Iterable, normal: Iterable) -> Counter:
 def build_count_table(
     anomalous: bytes,
     mining: MiningResult,
-    attribute_sets: Sequence[TokenSequence],
+    attribute_sets: Sequence[tuple],
     signatures: Sequence[ContextSignature],
-    attribute_scope: AttributeScope = "global",
 ) -> CountTable:
-    """Count every template, attribute-token, and signature occurrence by label.
+    """Count every template, attribute-key, and signature occurrence by label.
 
     `anomalous` holds one byte per line, 1 for an anomalous one, and `attribute_sets`
-    a tuple per sequence id. Counting is per occurrence: a token repeated in one
-    message's attribute set contributes once per repetition, and every message
+    the tuple of attribute keys per sequence id that `attributes_for_corpus` made; the
+    table's keys are those very objects. Counting is per occurrence: a key repeated in
+    one message's attribute set contributes once per repetition, and every message
     contributes one observation of its template and of its signature. Raises
     ValueError when the columns do not align, or a label byte is neither 0 nor 1.
     """
-    if attribute_scope not in ("global", "per-position"):
-        raise ValueError(f"unknown attribute scope {attribute_scope!r}")
     _check_aligned(anomalous, mining, attribute_sets, signatures)
     if anomalous.translate(None, b"\0\1"):  # else a line would count as both
         raise ValueError("the label column holds a byte other than 0 and 1")
     normal = anomalous.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
     def attribute_keys(kept: bytes) -> Iterable:
-        """The attribute-table key of every token of the kept lines."""
-        attrs = map(attribute_sets.__getitem__, compress(mining.sequence_ids, kept))
-        if attribute_scope == "global":
-            return chain.from_iterable(attrs)
-        tids = map(repeat, compress(mining.assignment, kept))
-        return chain.from_iterable(map(zip, tids, map(count, repeat(0)), attrs))
+        """Every attribute key of the kept lines."""
+        return chain.from_iterable(map(attribute_sets.__getitem__, compress(mining.sequence_ids, kept)))
 
     return CountTable(
         _tally(compress(mining.assignment, anomalous), compress(mining.assignment, normal)),
         _tally(attribute_keys(anomalous), attribute_keys(normal)),
         _tally(compress(signatures, anomalous), compress(signatures, normal)),
-        attribute_scope,
     )
 
 
@@ -114,14 +102,14 @@ def score_corpus(
     anomalous: bytes,
     table: CountTable,
     mining: MiningResult,
-    attribute_sets: Sequence[TokenSequence],
+    attribute_sets: Sequence[tuple],
     signatures: Sequence[ContextSignature],
     include_normal: bool = False,
 ) -> dict[int, ScoreTriple]:
     """Score triple per 1-based line position, anomalous lines only by default.
 
     Each score is the anomalous share of its key's occurrences in the table;
-    the attribute score is the maximum over the message's attribute tokens,
+    the attribute score is the maximum over the message's attribute keys,
     or None when it has none. Takes and checks the columns as `build_count_table`
     does. Keys repeat heavily and share few distinct count pairs, so each pair
     maps to one Fraction, and each distinct trio of score values to one ScoreTriple.
@@ -139,9 +127,7 @@ def score_corpus(
     shared_head, triple = cache(lambda t, a: (t, a, {})), cache(ScoreTriple)
 
     def head(sid: int, tid: int) -> tuple[Fraction, Fraction | None, dict]:
-        attrs = attribute_sets[sid]
-        keys = attrs if table.attribute_scope == "global" else zip(repeat(tid), count(), attrs)
-        a = max((fraction(table.attribute_counts[key]) for key in keys), default=None)
+        a = max((fraction(table.attribute_counts[key]) for key in attribute_sets[sid]), default=None)
         return by_row.setdefault(sid, shared_head(fraction(table.template_counts[tid]), a))
 
     # Only scored lines are visited, with no call once their sequence and pair were seen.

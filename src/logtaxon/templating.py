@@ -16,13 +16,15 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import count
+from itertools import count, repeat
 from sys import intern
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Sequence, get_args
 
 from .model import LogRecord, TokenSequence
 
 WILDCARD = "*"
+
+AttributeScope = Literal["global", "per-position"]
 
 _HAS_DIGIT = re.compile(r"\d")
 
@@ -415,16 +417,20 @@ def mine_templates(
 
 
 def attributes_for_corpus(
-    sequences: Sequence[TokenSequence], mining: MiningResult
-) -> tuple[TokenSequence, ...]:
-    """Each sequence's masked tokens at its template's wildcard positions, by sequence id.
+    sequences: Sequence[TokenSequence], mining: MiningResult, scope: AttributeScope = "global"
+) -> tuple[tuple, ...]:
+    """Each sequence's attribute keys, one per wildcard position of its template, by sequence id.
 
-    Raises ValueError when `sequences` and the mining result's columns differ in
-    length, or the ids are not numbered in order of first appearance.
+    Under the "global" scope a key is the masked token, pooled across templates and
+    positions; under "per-position" it is (template id, wildcard slot, token). Raises
+    ValueError for an unknown scope, when `sequences` and the mining result's columns
+    differ in length, or when the ids are not numbered in order of first appearance.
     """
+    if scope not in get_args(AttributeScope):
+        raise ValueError(f"unknown attribute scope {scope!r}")
     templates = mining.templates
     wildcards = [t.wildcard_positions for t in templates]
-    attribute_sets: list[TokenSequence] = []
+    attribute_sets: list[tuple] = []
     new = 0  # the id the next unseen sequence must have
     for tokens, sid, tid in zip(sequences, mining.sequence_ids, mining.assignment, strict=True):
         if sid < new:
@@ -435,7 +441,8 @@ def attributes_for_corpus(
             raise KeyError(tid)
         if len(tokens) != len(templates[tid - 1].tokens):  # the miner keeps lengths equal
             raise RuntimeError(f"sequence {sid} and its template {tid} differ in length")
-        attribute_sets.append(tuple(map(tokens.__getitem__, wildcards[tid - 1])))
+        attrs = tuple(map(tokens.__getitem__, wildcards[tid - 1]))
+        attribute_sets.append(attrs if scope == "global" else tuple(zip(repeat(tid), count(), attrs)))
         new += 1
     return tuple(attribute_sets)
 

@@ -16,19 +16,26 @@ def labeled(*labels):
     return bytes(ch == "A" for ch in labels)
 
 
-def columns(assignment, attribute_sets=None):
+def per_position(tid, attrs):
+    """The per-position attribute keys of one sequence of template `tid`."""
+    return tuple((tid, slot, token) for slot, token in enumerate(attrs))
+
+
+def columns(assignment, attribute_sets=None, scope="global"):
     """A mining result of lines with these template ids and attribute tuples, and
-    its attribute table by sequence id; lines equal in both share a sequence."""
+    its attribute table by sequence id, keyed under `scope`; lines equal in both
+    share a sequence."""
     rows = {}
     lines = zip(assignment, attribute_sets or ((),) * len(assignment))
     sequence_ids = array("I", [rows.setdefault(row, len(rows)) for row in lines])
-    return MiningResult((), tuple(assignment), sequence_ids), tuple(attrs for _, attrs in rows)
+    table = (attrs if scope == "global" else per_position(tid, attrs) for tid, attrs in rows)
+    return MiningResult((), tuple(assignment), sequence_ids), tuple(table)
 
 
 def table_for(labels, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
     signatures = build_all_contexts(assignment, bounds)
-    mining, attrs = columns(assignment, attribute_sets)
-    return build_count_table(labels, mining, attrs, signatures, scope), signatures
+    mining, attrs = columns(assignment, attribute_sets, scope)
+    return build_count_table(labels, mining, attrs, signatures), signatures
 
 
 def score_one(table, template_id=1, attributes=(), signature=NO_CONTEXT):
@@ -39,7 +46,7 @@ def score_one(table, template_id=1, attributes=(), signature=NO_CONTEXT):
 def scores_for(labels, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
     """Counts and scores every line, normal ones included."""
     table, sigs = table_for(labels, assignment, attribute_sets, bounds, scope)
-    mining, attrs = columns(assignment, attribute_sets)
+    mining, attrs = columns(assignment, attribute_sets, scope)
     scores = score_corpus(labels, table, mining, attrs, sigs, include_normal=True)
     return table, sigs, scores
 
@@ -114,6 +121,19 @@ def test_attribute_scope_per_position_separates_slots():
     assert table.attribute_counts[(1, 0, "x")] == (1, 1)
     assert scores[1].attribute_score == Fraction(1, 2)  # template 1
     assert scores[3].attribute_score == Fraction(0)  # template 2
+
+
+def test_attribute_keys_are_made_once_per_sequence_and_counted_as_made():
+    mining = MiningResult((Template(("start", "*", "at", "*")),), (1, 1, 1), array("I", [0, 1, 0]))
+    sequences = [("start", "mail", "at", "n1"), ("start", "lp", "at", "n1"), ("start", "mail", "at", "n1")]
+    assert attributes_for_corpus(sequences, mining) == (("mail", "n1"), ("lp", "n1"))
+    keys = attributes_for_corpus(sequences, mining, "per-position")
+    assert keys == (((1, 0, "mail"), (1, 1, "n1")), ((1, 0, "lp"), (1, 1, "n1")))
+    table = build_count_table(labeled("A", "N", "N"), mining, keys, [NO_CONTEXT] * 3)
+    assert table.attribute_counts == {(1, 0, "mail"): (1, 1), (1, 1, "n1"): (1, 2), (1, 0, "lp"): (0, 1)}
+    # Counting builds no key tuple of its own: every table key is one the attribute table holds.
+    made = [key for attrs in keys for key in attrs]
+    assert all(any(key is k for k in made) for key in table.attribute_counts)
 
 
 # --- context score -----------------------------------------------------------
@@ -218,8 +238,16 @@ def test_count_conservation():
         lambda labels: attributes_for_corpus(
             ((), ()), MiningResult((Template(()),), (1,), array("I", [0]))
         ),
+        lambda labels: attributes_for_corpus(
+            ((), ()), MiningResult((Template(()),), (1,), array("I", [0])), "per-position"
+        ),
     ],
-    ids=["build_count_table", "score_corpus", "attributes_for_corpus"],
+    ids=[
+        "build_count_table",
+        "score_corpus",
+        "attributes_for_corpus",
+        "attributes_for_corpus-per-position",
+    ],
 )
 def test_stages_check_alignment(stage):
     with pytest.raises(ValueError):
@@ -229,7 +257,10 @@ def test_stages_check_alignment(stage):
 ALIGNED_TABLE = CountTable({1: (2, 1)}, {"x": (2, 1)}, {(): (2, 1)})
 MISALIGNED_STAGES = {
     "count-global": lambda c, m, s, g: build_count_table(c, m, s, g),
-    "count-per-position": lambda c, m, s, g: build_count_table(c, m, s, g, "per-position"),
+    # An attribute table of per-position keys, as `attributes_for_corpus` makes it.
+    "count-per-position": lambda c, m, s, g: build_count_table(
+        c, m, tuple(per_position(1, attrs) for attrs in s), g
+    ),
     "score-anomalous": lambda c, m, s, g: score_corpus(c, ALIGNED_TABLE, m, s, g),
     "score-all": lambda c, m, s, g: score_corpus(c, ALIGNED_TABLE, m, s, g, include_normal=True),
 }
@@ -259,6 +290,8 @@ def test_count_and_score_reject_every_misaligned_input(stage, which, change):
         )
 
 
-def test_build_count_table_rejects_unknown_scope():
+def test_attributes_reject_an_unknown_scope():
+    mining = MiningResult((Template(("*",)),), (1,), array("I", [0]))
+    assert attributes_for_corpus([("x",)], mining, "per-position") == (((1, 0, "x"),),)
     with pytest.raises(ValueError):
-        build_count_table(labeled("A"), *columns([1]), ((),), "per-template")
+        attributes_for_corpus([("x",)], mining, "per-template")
