@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -194,6 +195,17 @@ def _write_contexts_csv(analysis: Analysis, path: Path) -> None:
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
+    # The pipeline makes no reference cycles: the cyclic collector would only rescan its objects.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _analyze(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _analyze(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if args.threads is not None:
         print("note: --threads is deprecated and ignored", file=sys.stderr)

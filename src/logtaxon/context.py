@@ -35,7 +35,7 @@ class ContextBounds:
 
 def build_all_contexts(
     assignment: Sequence[int], bounds: ContextBounds = ContextBounds()
-) -> tuple[ContextSignature, ...]:
+) -> list[ContextSignature]:
     """Signature of every position, order-aligned with the assignment.
 
     A window [i - before, i + after], centre included, slides over a count
@@ -71,4 +71,4 @@ def build_all_contexts(
             sig = ContextSignature(value)
             sig = canon.setdefault(sig, sig)
         signatures.append(sig)
-    return tuple(signatures)
+    return signatures

@@ -90,8 +90,8 @@ def read_dataset(
     path: str,
     format: DatasetFormat = PRESETS["generic"],
     limit: int | None = None,
-) -> tuple[tuple[LogRecord, ...], IngestSummary]:
-    """Parse a dataset file into a corpus, skipping (and counting) malformed lines.
+) -> tuple[list[LogRecord], IngestSummary]:
+    """Parse a dataset file into a list of records, skipping (and counting) malformed lines.
 
     A line ends at a newline alone, so a stray carriage return is whitespace
     within it. A line is malformed when it has fewer fields than the header
@@ -132,7 +132,7 @@ def read_dataset(
             raise ValueError(f"damaged gzip input {path!r}: {exc}") from None
     if not records:
         raise ValueError("empty corpus")
-    return tuple(records), IngestSummary(lines_read, malformed)
+    return records, IngestSummary(lines_read, malformed)
 
 
 def write_dataset(corpus: Iterable[LogRecord], path: str) -> None:

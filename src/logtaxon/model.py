@@ -20,7 +20,7 @@ class AnomalyKind(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class LogRecord:
     """One log line: its expert label, True when anomalous, and its content. A
-    corpus is a tuple of records, and a record's 1-based position in it is its index.
+    corpus is a sequence of records, and a record's 1-based position in it is its index.
 
     `tokens` is None until the templating stage builds a tokenized copy.
     """

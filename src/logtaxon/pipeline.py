@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .context import ContextBounds, ContextSignature, build_all_contexts
@@ -21,7 +22,7 @@ class Analysis:
 
     mining: MiningResult
     attribute_sets: tuple[tuple, ...]  # attribute keys by sequence id
-    signatures: tuple[ContextSignature, ...]
+    signatures: list[ContextSignature]
     table: CountTable
     scores: dict[int, ScoreTriple]
     report: TaxonomyReport
@@ -54,7 +55,7 @@ def analyze_corpus(
     # Later stages read per-line columns, not records: the records go before
     # mining, and the sequence column once attributes are read.
     sequences = [rec.tokens for rec in tokenized]
-    anomalous = bytes([rec.anomalous for rec in tokenized])
+    anomalous = bytes(map(attrgetter("anomalous"), tokenized))
     del tokenized
     mining = mine_templates(sequences, miner_config)
     attribute_sets = attributes_for_corpus(sequences, mining, attribute_scope)

@@ -154,7 +154,7 @@ def tokenize(content: str, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES) -> To
 
 def tokenize_corpus(
     corpus: Iterable[LogRecord], rules: Sequence[MaskRule] = DEFAULT_MASK_RULES
-) -> tuple[LogRecord, ...]:
+) -> list[LogRecord]:
     """Return a copy of the corpus, read once, with every record's tokens filled in.
 
     Raw tokens and whole contents repeat enormously across a log, so masking
@@ -176,7 +176,7 @@ def tokenize_corpus(
         elif rec.anomalous is not r.anomalous:
             rec = by_content[r.content] = LogRecord(r.anomalous, rec.content, rec.tokens)
         records.append(rec)
-    return tuple(records)
+    return records
 
 
 @dataclass(frozen=True)
@@ -371,14 +371,15 @@ class _Forest:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Frozen templates plus each line's template id and sequence id, in line order.
+    """Frozen templates plus each line's template id and sequence id, in line order,
+    each column an `array('I')`.
 
     Template id `tid` names `templates[tid - 1]`; sequence ids number the distinct
     masked sequences 0, 1, ... in order of first appearance.
     """
 
     templates: tuple[Template, ...]
-    assignment: tuple[int, ...]
+    assignment: array
     sequence_ids: array
 
     @cached_property
@@ -411,7 +412,7 @@ def mine_templates(
     # left it, and pass 2's walk reaches the leaf that pass 1's greedy walk did.
     rows = zip(ids, settled_at, tids)
     tids = [tid if at == forest.epoch else forest.assign(tokens) for tokens, at, tid in rows]
-    assignment = tuple(map(tids.__getitem__, sequence_ids))
+    assignment = array("I", map(tids.__getitem__, sequence_ids))
     templates = tuple(Template(tuple(map(intern, tokens))) for tokens in forest.templates)
     return MiningResult(templates, assignment, sequence_ids)
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import gzip
 import hashlib
 import json
@@ -214,6 +215,31 @@ def test_read_records_are_freed_before_mining(tmp_path, demo_log, monkeypatch):
     assert rc == 0
     assert alive == [0]
     assert json.loads((out_dir / "report.json").read_text())["source"]["records"] == 20_000
+
+
+def test_analyze_runs_without_the_cyclic_collector_and_then_restores_it(
+    tmp_path, demo_log, monkeypatch
+):
+    seen = []
+
+    def recording(corpus, **kwargs):
+        seen.append(gc.isenabled())
+        return analyze_corpus(corpus, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_corpus", recording)
+    assert gc.isenabled()
+    rc, _ = run_analyze(tmp_path, demo_log)
+    assert (rc, seen, gc.isenabled()) == (0, [False], True)
+    blank = tmp_path / "blank.log"
+    blank.write_text("\n")
+    rc, _ = run_analyze(tmp_path, blank)  # bad input: an empty corpus
+    assert (rc, gc.isenabled()) == (1, True)
+    gc.disable()  # a caller that runs without the collector keeps running without it
+    try:
+        rc, _ = run_analyze(tmp_path, demo_log)
+        assert (rc, gc.isenabled()) == (0, False)
+    finally:
+        gc.enable()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, demo_log):

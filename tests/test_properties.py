@@ -88,7 +88,7 @@ few_contents = st.sampled_from(["a 1", "a 2", "a  1", "b 0xbeef", "b", ""])
 def test_tokenize_corpus_shares_records_without_changing_them(lines):
     corpus = tuple(LogRecord(anomalous, text) for anomalous, text in lines)
     tokenized = tokenize_corpus(corpus)
-    assert tokenized == tuple(LogRecord(r.anomalous, r.content, tokenize(r.content)) for r in corpus)
+    assert tuple(tokenized) == tuple(LogRecord(r.anomalous, r.content, tokenize(r.content)) for r in corpus)
     sequences = {}
     for rec in tokenized:
         assert sequences.setdefault(rec.tokens, rec.tokens) is rec.tokens
@@ -183,7 +183,7 @@ def test_mining_matches_the_naive_reference_miner(token_lists, config):
         token_lists, config.tree_depth, config.similarity_threshold, config.max_children
     )
     assert [t.tokens for t in mining.templates] == templates
-    assert mining.assignment == assignment
+    assert tuple(mining.assignment) == assignment
 
 
 @settings(max_examples=500, deadline=None)
@@ -194,7 +194,7 @@ def test_mining_repeated_sequences_matches_the_naive_reference_miner(token_lists
         token_lists, config.tree_depth, config.similarity_threshold, config.max_children
     )
     assert [t.tokens for t in mining.templates] == templates
-    assert mining.assignment == assignment
+    assert tuple(mining.assignment) == assignment
 
 
 @settings(max_examples=500, deadline=None)
@@ -230,7 +230,7 @@ assignments = st.lists(st.integers(1, 5), max_size=40) | st.integers(1, 5).flatm
 @given(assignments, st.integers(0, 50), st.integers(0, 50))
 def test_context_window_subset_and_exclusion(assignment, before, after):
     sigs = build_all_contexts(assignment, ContextBounds(before, after))
-    assert sigs == tuple(
+    assert tuple(sigs) == tuple(
         naive_signature(assignment, i, before, after) for i in range(1, len(assignment) + 1)
     )
 
