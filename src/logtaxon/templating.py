@@ -246,6 +246,7 @@ class _Forest:
 
     def __init__(self, config: MinerConfig):
         self.config = config
+        self.routing_levels = config.routing_levels
         self.root: dict[int, _Node] = {}
         self.templates: list[list[str]] = []
         self.wildcards: list[int] = []
@@ -253,7 +254,7 @@ class _Forest:
 
     def _routing_tokens(self, tokens: Sequence[str]) -> Sequence[str]:
         # Never route on the last token; it stays available for similarity.
-        return tokens[: min(self.config.routing_levels, len(tokens) - 1)]
+        return tokens[: min(self.routing_levels, len(tokens) - 1)]
 
     def _descend(self, tokens: Sequence[str], backtrack: bool) -> _Node | None:
         """The leaf a message routes to: at each level the literal child if present,
@@ -301,19 +302,25 @@ class _Forest:
         Every template in a leaf has the message's length, so this is the
         order of the hit ratio. Only templates sharing a literal token with
         the message are counted; the others score (0, wildcards) and win
-        only when no template has a hit. A literal "*" in a message is never a
-        hit, since the postings hold no wildcard.
+        only when no template has a hit. Ties are broken only among the
+        templates with the top hit count, and a single one is taken as it
+        is. A literal "*" in a message is never a hit, since the postings
+        hold no wildcard, so hits plus the template's wildcards equal the
+        message's length exactly when every literal of the template matched.
         """
         hits: dict[int, int] = {}
         get = hits.get
-        for posting, token in zip(leaf.postings, tokens):
-            for tid in posting.get(token, ()):
+        for posting in filter(None, map(dict.get, leaf.postings, tokens)):
+            for tid in posting:
                 hits[tid] = get(tid, 0) + 1
         wildcards = self.wildcards
         if not hits:
             return max(leaf.ids, key=lambda tid: wildcards[tid - 1]), 0
-        best = max(hits, key=lambda tid: (hits[tid], wildcards[tid - 1], -tid))
-        return best, hits[best]
+        top = max(hits.values())
+        tied = [tid for tid, n in hits.items() if n == top]
+        if len(tied) == 1:
+            return tied[0], top
+        return max(tied, key=lambda tid: (wildcards[tid - 1], -tid)), top
 
     def _new_template(self, tokens: Sequence[str]) -> int:
         leaf = self._descend_for_insert(tokens)
@@ -338,7 +345,12 @@ class _Forest:
         """
         leaf = self._descend(tokens, backtrack=False)
         tid, hits = self._best_match(leaf, tokens) if leaf is not None else (0, -1)
-        if hits >= 0 and self._meets_threshold(hits, tokens):
+        if hits < 0 or not self._meets_threshold(hits, tokens):
+            # A template made from literal "*" tokens can miss the threshold
+            # against its own message, whose next copy then makes another template.
+            hits = len(tokens) - tokens.count(WILDCARD)
+            return self._new_template(tokens), self._meets_threshold(hits, tokens)
+        if hits + self.wildcards[tid - 1] < len(tokens):  # a literal differs: refine it
             template = self.templates[tid - 1]
             for i, (t, w) in enumerate(zip(template, tokens)):
                 if t != WILDCARD and t != w:
@@ -346,12 +358,7 @@ class _Forest:
                     leaf.postings[i][t].remove(tid)
                     self.wildcards[tid - 1] += 1
                     self.epoch += 1
-        else:
-            tid = self._new_template(tokens)
-            hits = len(tokens) - tokens.count(WILDCARD)
-        # A template made from literal "*" tokens can miss the threshold
-        # against its own message, whose next copy then makes another template.
-        return tid, self._meets_threshold(hits, tokens)
+        return tid, True
 
     def assign(self, tokens: Sequence[str]) -> int:
         """Pass-2 step: pick a template id from the frozen forest for a message.

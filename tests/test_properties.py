@@ -216,6 +216,31 @@ def test_pass_1_ids_at_the_final_epoch_are_what_pass_2_assigns(token_lists, conf
             assert forest.assign(tokens) == tid
 
 
+@settings(max_examples=500, deadline=None)
+@given(miner_inputs | repetitive_inputs, tree_shapes)
+def test_best_match_is_a_brute_force_scan_of_the_leaf(token_lists, config):
+    # Every match of both passes, against a recount of each leaf template's
+    # literal hits and wildcards from its tokens, the first made on ties.
+    best_match = templating._Forest._best_match
+
+    def checked(forest, leaf, tokens):
+        def hits(tid):
+            template = forest.templates[tid - 1]
+            return sum(t == w != templating.WILDCARD for t, w in zip(template, tokens))
+
+        def rank(tid):
+            return hits(tid), forest.templates[tid - 1].count(templating.WILDCARD), -tid
+
+        expected = max(leaf.ids, key=rank)
+        found = best_match(forest, leaf, tokens)
+        assert found == (expected, hits(expected))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(templating._Forest, "_best_match", checked)
+        mine_templates(token_lists, config)
+
+
 # Random ids, or one id through the whole corpus; bounds up to past either end.
 assignments = st.lists(st.integers(1, 5), max_size=40) | st.integers(1, 5).flatmap(
     lambda tid: st.lists(st.just(tid), max_size=40)

@@ -510,6 +510,25 @@ def test_pass_1_learns_a_settled_sequence_again_only_after_the_epoch_moves(monke
     assert ([t.tokens for t in mining.templates], tuple(mining.assignment)) == reference
 
 
+def test_a_full_match_leaves_the_template_and_the_epoch_as_they_were():
+    forest = templating._Forest(MinerConfig())
+
+    def state():
+        return [list(t) for t in forest.templates], list(forest.wildcards), forest.epoch
+
+    first, second = split("a b c d", "a b c e")
+    assert forest.learn(first) == (1, True)
+    assert forest.learn(second) == (1, True)  # refines the last position
+    assert state() == ([["a", "b", "c", "*"]], [1], 2)
+    # Every literal of "a b c *" matches: 3 hits and 1 wildcard make 4 tokens.
+    for tokens in split("a b c f", "a b c d", "a b c *"):
+        assert forest.learn(tokens) == (1, True)
+        assert state() == ([["a", "b", "c", "*"]], [1], 2)
+    # One differing literal is still refined, and moves the epoch.
+    assert forest.learn(("a", "x", "c", "f")) == (1, True)
+    assert state() == ([["a", "*", "c", "*"]], [2], 3)
+
+
 def test_deeper_tree_routes_on_more_tokens():
     # depth 4 routes on one token, depth 5 on two: the second token then
     # separates otherwise-similar messages.
