@@ -53,13 +53,13 @@ def analyze_corpus(
     if not tokenized:
         raise ValueError("empty corpus")
     # Later stages read per-line columns, not records: the records go before
-    # mining, and the sequence column once attributes are read.
+    # mining, and the sequence column right after it.
     sequences = [rec.tokens for rec in tokenized]
     anomalous = bytes(map(attrgetter("anomalous"), tokenized))
     del tokenized
     mining = mine_templates(sequences, miner_config)
-    attribute_sets = attributes_for_corpus(sequences, mining, attribute_scope)
     del sequences
+    attribute_sets = attributes_for_corpus(mining, attribute_scope)
     signatures = build_all_contexts(mining.assignment, bounds)
     table = build_count_table(anomalous, mining, attribute_sets, signatures)
     scores = score_corpus(

@@ -53,7 +53,7 @@ class CountTable:
 def _check_aligned(anomalous: bytes, mining: MiningResult, attrs: Sequence, sigs: Sequence) -> None:
     if any(len(c) != len(anomalous) for c in (mining.assignment, mining.sequence_ids, sigs)):
         raise ValueError("the label column and the other per-line columns differ in length")
-    if len(attrs) != mining.sequence_count:
+    if len(attrs) != len(mining.parameters):
         raise ValueError("the attribute table does not hold one entry per sequence id")
 
 
@@ -126,15 +126,16 @@ def score_corpus(
     # different count pairs still share one triple.
     shared_head, triple = cache(lambda t, a: (t, a, {})), cache(ScoreTriple)
 
-    def head(sid: int, tid: int) -> tuple[Fraction, Fraction | None, dict]:
+    def head(sid: int) -> tuple[Fraction, Fraction | None, dict]:
+        t = fraction(table.template_counts[mining.sequence_tids[sid]])
         a = max((fraction(table.attribute_counts[key]) for key in attribute_sets[sid]), default=None)
-        return by_row.setdefault(sid, shared_head(fraction(table.template_counts[tid]), a))
+        return by_row.setdefault(sid, shared_head(t, a))
 
     # Only scored lines are visited, with no call once their sequence and pair were seen.
-    rows = zip(count(1), mining.sequence_ids, mining.assignment, signatures)
+    rows = zip(count(1), mining.sequence_ids, signatures)
     by_row, contexts, scores = {}, table.context_counts, {}
-    for index, sid, tid, sig in rows if include_normal else compress(rows, anomalous):
-        t, a, by_pair = by_row.get(sid) or head(sid, tid)
+    for index, sid, sig in rows if include_normal else compress(rows, anomalous):
+        t, a, by_pair = by_row.get(sid) or head(sid)
         pair = contexts[sig]
         scores[index] = by_pair.get(pair) or by_pair.setdefault(pair, triple(t, a, fraction(pair)))
     return scores

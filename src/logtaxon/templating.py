@@ -5,7 +5,9 @@ The miner clusters equal-length token sequences under a shallow routing tree
 message into the best cluster when the literal-token overlap ratio reaches a
 configurable threshold. Mining runs in two passes: pass 1 grows and refines
 clusters online, pass 2 re-assigns every message against the frozen forest so
-early messages end up on the final shape of their template.
+early messages end up on the final shape of their template. Pass 2 visits each
+distinct masked sequence once and keeps its template id and its parameters, the
+tokens at the template's wildcard positions, which are the attribute keys.
 """
 
 from __future__ import annotations
@@ -378,21 +380,21 @@ class _Forest:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Frozen templates plus each line's template id and sequence id, in line order,
-    each column an `array('I')`.
+    """Frozen templates, two per-line columns and two per-sequence tables.
 
     Template id `tid` names `templates[tid - 1]`; sequence ids number the distinct
-    masked sequences 0, 1, ... in order of first appearance.
+    masked sequences 0, 1, ... in order of first appearance. `assignment` and
+    `sequence_ids` hold each line's template id and sequence id, in line order, and
+    `sequence_tids` each sequence id's template id, each an `array('I')`; line i's
+    template id is `sequence_tids[sequence_ids[i]]`. `parameters` holds, by sequence
+    id, the tuple of the sequence's masked tokens at its template's wildcard positions.
     """
 
     templates: tuple[Template, ...]
     assignment: array
     sequence_ids: array
-
-    @cached_property
-    def sequence_count(self) -> int:
-        """How many sequence ids there are: one more than the largest."""
-        return max(self.sequence_ids, default=-1) + 1
+    sequence_tids: array
+    parameters: tuple[tuple[str, ...], ...]
 
 
 def mine_templates(
@@ -417,42 +419,30 @@ def mine_templates(
     # The forest is frozen now, so every copy of a sequence gets the same id. One
     # settled at the final epoch keeps its pass-1 id: the forest is as that `learn`
     # left it, and pass 2's walk reaches the leaf that pass 1's greedy walk did.
-    rows = zip(ids, settled_at, tids)
-    tids = [tid if at == forest.epoch else forest.assign(tokens) for tokens, at, tid in rows]
-    assignment = array("I", map(tids.__getitem__, sequence_ids))
     templates = tuple(Template(tuple(map(intern, tokens))) for tokens in forest.templates)
-    return MiningResult(templates, assignment, sequence_ids)
+    wildcards = [t.wildcard_positions for t in templates]
+    parameters = []
+    for sid, (tokens, at) in enumerate(zip(ids, settled_at)):
+        if at != forest.epoch:
+            tids[sid] = forest.assign(tokens)
+        parameters.append(tuple(map(tokens.__getitem__, wildcards[tids[sid] - 1])))
+    assignment = array("I", map(tids.__getitem__, sequence_ids))
+    return MiningResult(templates, assignment, sequence_ids, array("I", tids), tuple(parameters))
 
 
-def attributes_for_corpus(
-    sequences: Sequence[TokenSequence], mining: MiningResult, scope: AttributeScope = "global"
-) -> tuple[tuple, ...]:
+def attributes_for_corpus(mining: MiningResult, scope: AttributeScope = "global") -> tuple[tuple, ...]:
     """Each sequence's attribute keys, one per wildcard position of its template, by sequence id.
 
     Under the "global" scope a key is the masked token, pooled across templates and
-    positions; under "per-position" it is (template id, wildcard slot, token). Raises
-    ValueError for an unknown scope, when `sequences` and the mining result's columns
-    differ in length, or when the ids are not numbered in order of first appearance.
+    positions, and the table is `mining.parameters` itself; under "per-position" it
+    is (template id, wildcard slot, token). Raises ValueError for an unknown scope.
     """
     if scope not in get_args(AttributeScope):
         raise ValueError(f"unknown attribute scope {scope!r}")
-    templates = mining.templates
-    wildcards = [t.wildcard_positions for t in templates]
-    attribute_sets: list[tuple] = []
-    new = 0  # the id the next unseen sequence must have
-    for tokens, sid, tid in zip(sequences, mining.sequence_ids, mining.assignment, strict=True):
-        if sid < new:
-            continue
-        if sid > new:
-            raise ValueError("sequence ids must number the sequences in order of first appearance")
-        if not 0 < tid <= len(templates):  # else a list index wraps around
-            raise KeyError(tid)
-        if len(tokens) != len(templates[tid - 1].tokens):  # the miner keeps lengths equal
-            raise RuntimeError(f"sequence {sid} and its template {tid} differ in length")
-        attrs = tuple(map(tokens.__getitem__, wildcards[tid - 1]))
-        attribute_sets.append(attrs if scope == "global" else tuple(zip(repeat(tid), count(), attrs)))
-        new += 1
-    return tuple(attribute_sets)
+    if scope == "global":
+        return mining.parameters
+    rows = zip(mining.sequence_tids, mining.parameters)
+    return tuple(tuple(zip(repeat(tid), count(), attrs)) for tid, attrs in rows)
 
 
 FOREST_SCHEMA_VERSION = 1

@@ -126,7 +126,7 @@ def test_criterion_2_hand_worked_examples():
     mining = mine_templates(sequences)
     template = " ".join(mining.templates[0].tokens)
     template_ok = len(mining.templates) == 1 and template == "Start * service at node *"
-    attrs = list(attributes_for_corpus(sequences, mining))
+    attrs = list(attributes_for_corpus(mining))
     attrs_ok = attrs == [("mail", "wally001"), ("printer", "wally005")]
 
     # A ten-message window example: two back, one forward around message 10

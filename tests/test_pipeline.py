@@ -146,6 +146,13 @@ def test_per_line_id_columns_are_unsigned_int_arrays():
     analysis = analyze_corpus(generate_synthetic(spec_with_one_failure_template())[0])
     assert analysis.mining.assignment.typecode == "I"
     assert analysis.mining.sequence_ids.typecode == "I"
+    assert analysis.mining.sequence_tids.typecode == "I"
+
+
+def test_global_attribute_table_is_the_miners_parameters():
+    # No second per-sequence table under the global scope: the keys are the parameters.
+    analysis = analyze_corpus(generate_synthetic(spec_with_one_failure_template())[0])
+    assert analysis.attribute_sets is analysis.mining.parameters
 
 
 def write_distinct_lines(path, length):

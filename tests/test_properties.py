@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import brute_force_counts, brute_force_scores, naive_mine, naive_signature, reference_parse
+from oracle import (
+    brute_force_counts,
+    brute_force_scores,
+    naive_attributes,
+    naive_mine,
+    naive_signature,
+    reference_parse,
+)
 from logtaxon import templating
 from logtaxon.context import ContextBounds, build_all_contexts
 from logtaxon.ingest import DatasetFormat, read_dataset
@@ -24,6 +31,7 @@ from logtaxon.templating import (
     MaskRule,
     MinerConfig,
     MiningResult,
+    attributes_for_corpus,
     mine_templates,
     tokenize,
     tokenize_corpus,
@@ -241,6 +249,24 @@ def test_best_match_is_a_brute_force_scan_of_the_leaf(token_lists, config):
         mine_templates(token_lists, config)
 
 
+@settings(max_examples=500, deadline=None)
+@given(miner_inputs | repetitive_inputs, tree_shapes)
+def test_per_sequence_tables_hold_each_lines_template_and_parameters(token_lists, config):
+    # The miner's per-sequence tables, against every line that holds the
+    # sequence: its template id, and its tokens under the template's "*"
+    # positions by direct scan, literal "*" tokens included.
+    mining = mine_templates(token_lists, config)
+    tids, parameters = mining.sequence_tids, mining.parameters
+    assert len(parameters) == len(tids) == max(mining.sequence_ids) + 1
+    for tokens, sid, tid in zip(token_lists, mining.sequence_ids, mining.assignment, strict=True):
+        assert tid == tids[sid]
+        assert parameters[sid] == naive_attributes(tokens, mining.templates[tid - 1].tokens)
+    assert attributes_for_corpus(mining, "per-position") == tuple(
+        tuple((tid, slot, token) for slot, token in enumerate(attrs))
+        for tid, attrs in zip(tids, parameters)
+    )
+
+
 # Random ids, or one id through the whole corpus; bounds up to past either end.
 assignments = st.lists(st.integers(1, 5), max_size=40) | st.integers(1, 5).flatmap(
     lambda tid: st.lists(st.just(tid), max_size=40)
@@ -265,7 +291,7 @@ def test_template_score_is_exact_fraction(anomalous, normal):
     if anomalous + normal == 0:
         return
     table = CountTable({1: (anomalous, normal)}, {}, {(): (1, 0)})
-    one_line = MiningResult((), (1,), array("I", [0]))
+    one_line = MiningResult((), (1,), array("I", [0]), array("I", [1]), ((),))
     score = score_corpus(b"\1", table, one_line, ((),), ((),))[1].template_score
     assert score == Fraction(anomalous, anomalous + normal)
     assert 0 <= score <= 1

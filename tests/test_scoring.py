@@ -28,8 +28,10 @@ def columns(assignment, attribute_sets=None, scope="global"):
     rows = {}
     lines = zip(assignment, attribute_sets or ((),) * len(assignment))
     sequence_ids = array("I", [rows.setdefault(row, len(rows)) for row in lines])
+    sequence_tids = array("I", [tid for tid, _ in rows])
+    parameters = tuple(attrs for _, attrs in rows)
     table = (attrs if scope == "global" else per_position(tid, attrs) for tid, attrs in rows)
-    return MiningResult((), tuple(assignment), sequence_ids), tuple(table)
+    return MiningResult((), tuple(assignment), sequence_ids, sequence_tids, parameters), tuple(table)
 
 
 def table_for(labels, assignment, attribute_sets=None, bounds=ContextBounds(2, 1), scope="global"):
@@ -124,10 +126,15 @@ def test_attribute_scope_per_position_separates_slots():
 
 
 def test_attribute_keys_are_made_once_per_sequence_and_counted_as_made():
-    mining = MiningResult((Template(("start", "*", "at", "*")),), (1, 1, 1), array("I", [0, 1, 0]))
-    sequences = [("start", "mail", "at", "n1"), ("start", "lp", "at", "n1"), ("start", "mail", "at", "n1")]
-    assert attributes_for_corpus(sequences, mining) == (("mail", "n1"), ("lp", "n1"))
-    keys = attributes_for_corpus(sequences, mining, "per-position")
+    mining = MiningResult(
+        (Template(("start", "*", "at", "*")),),
+        (1, 1, 1),
+        array("I", [0, 1, 0]),
+        array("I", [1, 1]),
+        (("mail", "n1"), ("lp", "n1")),
+    )
+    assert attributes_for_corpus(mining) is mining.parameters
+    keys = attributes_for_corpus(mining, "per-position")
     assert keys == (((1, 0, "mail"), (1, 1, "n1")), ((1, 0, "lp"), (1, 1, "n1")))
     table = build_count_table(labeled("A", "N", "N"), mining, keys, [NO_CONTEXT] * 3)
     assert table.attribute_counts == {(1, 0, "mail"): (1, 1), (1, 1, "n1"): (1, 2), (1, 0, "lp"): (0, 1)}
@@ -235,19 +242,8 @@ def test_count_conservation():
         lambda labels: score_corpus(
             labels, CountTable({1: (1, 1)}, {}, {(): (1, 1)}), *columns([1]), ((), ())
         ),
-        lambda labels: attributes_for_corpus(
-            ((), ()), MiningResult((Template(()),), (1,), array("I", [0]))
-        ),
-        lambda labels: attributes_for_corpus(
-            ((), ()), MiningResult((Template(()),), (1,), array("I", [0])), "per-position"
-        ),
     ],
-    ids=[
-        "build_count_table",
-        "score_corpus",
-        "attributes_for_corpus",
-        "attributes_for_corpus-per-position",
-    ],
+    ids=["build_count_table", "score_corpus"],
 )
 def test_stages_check_alignment(stage):
     with pytest.raises(ValueError):
@@ -283,7 +279,7 @@ def test_count_and_score_reject_every_misaligned_input(stage, which, change):
         "signatures": [0] * 3,
     }
     inputs[which] = inputs[which][:change] if change < 0 else inputs[which] + inputs[which][:1]
-    mining = MiningResult((), inputs["assignment"], inputs["sequence_ids"])
+    mining = MiningResult((), inputs["assignment"], inputs["sequence_ids"], array("I", [1]), (("x",),))
     with pytest.raises(ValueError):
         MISALIGNED_STAGES[stage](
             inputs["anomalous"], mining, inputs["attribute_sets"], inputs["signatures"]
@@ -291,7 +287,7 @@ def test_count_and_score_reject_every_misaligned_input(stage, which, change):
 
 
 def test_attributes_reject_an_unknown_scope():
-    mining = MiningResult((Template(("*",)),), (1,), array("I", [0]))
-    assert attributes_for_corpus([("x",)], mining, "per-position") == (((1, 0, "x"),),)
+    mining = MiningResult((Template(("*",)),), (1,), array("I", [0]), array("I", [1]), (("x",),))
+    assert attributes_for_corpus(mining, "per-position") == (((1, 0, "x"),),)
     with pytest.raises(ValueError):
-        attributes_for_corpus([("x",)], mining, "per-template")
+        attributes_for_corpus(mining, "per-template")

@@ -15,7 +15,6 @@ from logtaxon.templating import (
     DEFAULT_MASK_RULES,
     MaskRule,
     MinerConfig,
-    MiningResult,
     Template,
     attributes_for_corpus,
     load_mask_rules,
@@ -294,7 +293,7 @@ def test_attribute_extraction_reads_wildcard_positions():
         "Start printer service at node wally005",
     )
     mining = mine_templates(corpus)
-    attrs = attributes_for_corpus(corpus, mining)
+    attrs = attributes_for_corpus(mining)
     assert attrs == (("mail", "wally001"), ("printer", "wally005"))
 
 
@@ -307,16 +306,8 @@ def test_attribute_sets_are_one_tuple_per_sequence_and_template():
     )
     mining = mine_templates(corpus)
     assert mining.sequence_ids == array("I", [0, 1, 0, 1])
-    attrs = attributes_for_corpus(corpus, mining)
+    attrs = attributes_for_corpus(mining)
     assert attrs == (("mail", "wally001"), ("printer", "wally005"))
-
-
-def test_attributes_reject_sequence_ids_out_of_first_seen_order():
-    corpus = sequences_of("a b", "c d e")
-    mining = mine_templates(corpus)
-    for ids in ([1, 0], [0, 2]):
-        with pytest.raises(ValueError):
-            attributes_for_corpus(corpus, MiningResult(mining.templates, (1, 2), array("I", ids)))
 
 
 def test_dissimilar_messages_split_templates():
@@ -617,28 +608,6 @@ def test_backtracking_leaves_no_cyclic_garbage():
         gc.enable()
 
 
-def test_extract_attributes_checks_length():
-    corpus = sequences_of("a b c", "a b")
-    mining = mine_templates(corpus)
-    # Record 2 put on record 1's three-token template.
-    misassigned = MiningResult(mining.templates, (mining.assignment[0],) * 2, mining.sequence_ids)
-    with pytest.raises(RuntimeError):
-        attributes_for_corpus(corpus, misassigned)
-
-
-def test_attributes_reject_an_id_outside_the_templates():
-    # Ids are 1-based positions: neither 0 nor one past the end may wrap
-    # around to a template at the other end of the tuple.
-    corpus = sequences_of("a b", "c d e")
-    mining = mine_templates(corpus)
-    assert len(mining.templates) == 2
-    for tid in (0, len(mining.templates) + 1):
-        with pytest.raises(KeyError):
-            attributes_for_corpus(
-                corpus[:1], MiningResult(mining.templates, (tid,), array("I", [0]))
-            )
-
-
 def test_miner_config_validation():
     with pytest.raises(ValueError):
         MinerConfig(tree_depth=1)
@@ -664,7 +633,7 @@ def test_forest_round_trip(tmp_path):
     table = build_count_table(
         bytes([0, 1, 0]),
         mining,
-        attributes_for_corpus(corpus, mining),
+        attributes_for_corpus(mining),
         build_all_contexts(mining.assignment),
     )
     save_forest(mining, table.template_counts, str(path))
