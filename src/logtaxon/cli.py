@@ -169,14 +169,9 @@ def _write_scores_csv(analysis: Analysis, path: Path) -> None:
             "index,templateId,alpha,beta,gamma,"
             "alpha_num,alpha_den,beta_num,beta_den,gamma_num,gamma_den\n"
         )
-        # Messages share their triples, so each distinct object is formatted once.
-        triples = analysis.scores.values()
-        fields = {key: _score_fields(t) for key, t in dict(zip(map(id, triples), triples)).items()}
-        assignment = analysis.mining.assignment
-        fh.writelines(
-            f"{index},{assignment[index - 1]},{fields[id(triple)]}\n"
-            for index, triple in analysis.scores.items()
-        )
+        scores, assignment = analysis.scores, analysis.mining.assignment
+        fields = list(map(_score_fields, scores.triples))  # by triple id: each formatted once
+        fh.writelines(f"{i},{assignment[i - 1]},{fields[t]}\n" for i, t in zip(scores.indices, scores.ids))
 
 
 def _write_contexts_csv(analysis: Analysis, path: Path) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
@@ -10,7 +11,7 @@ from typing import Iterable, Mapping
 from .context import ContextBounds, ContextSignature, build_all_contexts
 from .model import LogRecord
 from .report import TaxonomyReport, ThresholdSweep, dataset_statistics, sweep_report
-from .scoring import CountTable, ScoreTriple, build_count_table, score_corpus
+from .scoring import CountTable, ScoreColumn, build_count_table, score_corpus
 from .templating import (
     AttributeScope, MinerConfig, MiningResult, attributes_for_corpus, mine_templates, tokenize_corpus
 )
@@ -24,7 +25,7 @@ class Analysis:
     attribute_sets: tuple[tuple, ...]  # attribute keys by sequence id
     signatures: list[ContextSignature]
     table: CountTable
-    scores: dict[int, ScoreTriple]
+    scores: ScoreColumn  # read-only {line index: ScoreTriple}, a 4-byte triple id per line
     report: TaxonomyReport
 
 
@@ -76,8 +77,9 @@ def analyze_corpus(
         "attributeScope": attribute_scope,
         "thresholds": [str(t) for t in sweep.thresholds],
     }
-    report = sweep_report(
-        dict(compress(scores.items(), anomalous)) if include_normal_scores else scores,
+    kept = (array("I", compress(column, anomalous)) for column in (scores.indices, scores.ids))
+    report = sweep_report(  # of the anomalous lines only
+        ScoreColumn(scores.triples, *kept) if include_normal_scores else scores,
         sweep,
         stats,
         config=config,

@@ -7,13 +7,15 @@ literally every occurrence was anomalous, with no float rounding involved.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, Sequence, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partialmethod
 from itertools import chain, compress, count, repeat
 from operator import mul
-from typing import Iterable, Mapping, Sequence
 
 from .context import ContextSignature
 from .templating import MiningResult
@@ -50,11 +52,43 @@ class CountTable:
     context_counts: Mapping[ContextSignature, CountPair]
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class ScoreColumn(Mapping[int, ScoreTriple]):
+    """A read-only {1-based line index: ScoreTriple}, held as one triple id per scored line."""
+
+    class _Values(ValuesView):  # views walk the columns as often as asked, with no lookup per key
+        def __iter__(self) -> Iterator[ScoreTriple]:
+            return map(self._mapping.triples.__getitem__, self._mapping.ids)
+
+    class _Items(ItemsView):
+        def __iter__(self) -> Iterator[tuple[int, ScoreTriple]]:
+            return zip(self._mapping.indices, self._mapping.values())
+
+    triples: tuple[ScoreTriple, ...]  # the distinct triples, by triple id
+    indices: Sequence[int]  # the scored lines', ascending: a range when every line is scored
+    ids: array  # one triple id per scored line
+    values, items = partialmethod(_Values), partialmethod(_Items)
+
+    def __getitem__(self, index: int) -> ScoreTriple:
+        at = bisect_left(self.indices, index) if isinstance(index, int) else len(self.ids)
+        if at == len(self.ids) or self.indices[at] != index:
+            raise KeyError(index)
+        return self.triples[self.ids[at]]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices)
+
+
 def _check_aligned(anomalous: bytes, mining: MiningResult, attrs: Sequence, sigs: Sequence) -> None:
     if any(len(c) != len(anomalous) for c in (mining.assignment, mining.sequence_ids, sigs)):
         raise ValueError("the label column and the other per-line columns differ in length")
     if len(attrs) != len(mining.parameters):
         raise ValueError("the attribute table does not hold one entry per sequence id")
+    if anomalous.translate(None, b"\0\1"):  # else a line would count or score as both
+        raise ValueError("the label column holds a byte other than 0 and 1")
 
 
 def _tally(anomalous: Iterable, normal: Iterable) -> Counter:
@@ -83,8 +117,6 @@ def build_count_table(
     ValueError when the columns do not align, or a label byte is neither 0 nor 1.
     """
     _check_aligned(anomalous, mining, attribute_sets, signatures)
-    if anomalous.translate(None, b"\0\1"):  # else a line would count as both
-        raise ValueError("the label column holds a byte other than 0 and 1")
     normal = anomalous.translate(bytes.maketrans(b"\0\1", b"\1\0"))
 
     def attribute_keys(kept: bytes) -> Iterable:
@@ -105,14 +137,14 @@ def score_corpus(
     attribute_sets: Sequence[tuple],
     signatures: Sequence[ContextSignature],
     include_normal: bool = False,
-) -> dict[int, ScoreTriple]:
-    """Score triple per 1-based line position, anomalous lines only by default.
+) -> ScoreColumn:
+    """Score triple per 1-based line position, anomalous lines only by default, in a ScoreColumn.
 
     Each score is the anomalous share of its key's occurrences in the table;
     the attribute score is the maximum over the message's attribute keys,
     or None when it has none. Takes and checks the columns as `build_count_table`
     does. Keys repeat heavily and share few distinct count pairs, so each pair
-    maps to one Fraction, and each distinct trio of score values to one ScoreTriple.
+    maps to one Fraction, and each distinct trio of score values to one ScoreTriple and one id.
     """
     _check_aligned(anomalous, mining, attribute_sets, signatures)
 
@@ -121,10 +153,10 @@ def score_corpus(
         a, n = pair
         return Fraction(a, a + n)
 
-    # (template score, attribute score, {context count pair: triple}) per
-    # distinct pair of scores; keyed by value, so that equal scores from
-    # different count pairs still share one triple.
-    shared_head, triple = cache(lambda t, a: (t, a, {})), cache(ScoreTriple)
+    # (template score, attribute score, {context count pair: triple id}) per distinct pair
+    # of scores; ids are keyed by value, so equal scores from different pairs share one.
+    shared_head, id_of = cache(lambda t, a: (t, a, {})), {}
+    new_id = lambda t, a, pair: id_of.setdefault(ScoreTriple(t, a, fraction(pair)), len(id_of))
 
     def head(sid: int) -> tuple[Fraction, Fraction | None, dict]:
         t = fraction(table.template_counts[mining.sequence_tids[sid]])
@@ -132,10 +164,11 @@ def score_corpus(
         return by_row.setdefault(sid, shared_head(t, a))
 
     # Only scored lines are visited, with no call once their sequence and pair were seen.
-    rows = zip(count(1), mining.sequence_ids, signatures)
-    by_row, contexts, scores = {}, table.context_counts, {}
+    rows, contexts = zip(count(1), mining.sequence_ids, signatures), table.context_counts
+    by_row, ids, indices = {}, array("I"), range(1, len(anomalous) + 1) if include_normal else array("I")
     for index, sid, sig in rows if include_normal else compress(rows, anomalous):
         t, a, by_pair = by_row.get(sid) or head(sid)
         pair = contexts[sig]
-        scores[index] = by_pair.get(pair) or by_pair.setdefault(pair, triple(t, a, fraction(pair)))
-    return scores
+        ids.append(by_pair[pair] if pair in by_pair else by_pair.setdefault(pair, new_id(t, a, pair)))
+        include_normal or indices.append(index)
+    return ScoreColumn(tuple(id_of), indices, ids)

@@ -371,6 +371,34 @@ def test_pipeline_scores_match_brute_force(lines, before, after, scope, include_
     assert counts == brute_force_counts(*mined, scope)
 
 
+@settings(max_examples=80, deadline=None)
+@example([(False, "a b"), (False, "send 17")], False)
+@example([(False, "a b"), (False, "send 17")], True)
+@given(labeled_lines, st.booleans())
+def test_score_column_reads_as_the_dict_it_replaces(lines, include_normal):
+    corpus = corpus_from(lines)
+    bounds = ContextBounds(2, 1)
+    analysis = analyze_corpus(corpus, bounds=bounds, include_normal_scores=include_normal)
+    mined = (corpus, analysis.mining.templates, analysis.mining.assignment, bounds.before, bounds.after)
+    expected = {i: ScoreTriple(*t) for i, t in brute_force_scores(*mined, "global", include_normal).items()}
+    scores = analysis.scores
+    assert scores == expected and expected == scores
+    assert (scores == {}) == (not expected)
+    assert len(scores) == len(expected)
+    assert list(scores) == list(expected)  # ascending line order
+    assert all(scores[i] == triple and i in scores for i, triple in expected.items())
+    unscored = [0, len(corpus) + 1, "1", None, *(i for i in range(1, len(corpus) + 1) if i not in expected)]
+    for index in unscored:
+        assert index not in scores
+        with pytest.raises(KeyError):
+            scores[index]
+    # The views walk the columns afresh on every pass.
+    values, items = scores.values(), scores.items()
+    assert list(values) == list(values) == list(expected.values())
+    assert list(items) == list(items) == list(expected.items())
+    assert len(values) == len(items) == len(expected)
+
+
 # Header fields, labels and content words, whitespace that str.split breaks
 # on (tab, vertical tab, ideographic space and a lone carriage return), and
 # byte-order marks, in any order: blank, header-only and short lines arise.

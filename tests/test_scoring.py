@@ -250,6 +250,25 @@ def test_stages_check_alignment(stage):
         stage(labeled("A", "N"))
 
 
+LABELED_TABLE = CountTable({1: (1, 1)}, {}, {0: (1, 1)})
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda labels: build_count_table(labels, *columns([1, 1]), (0, 0)),
+        lambda labels: score_corpus(labels, LABELED_TABLE, *columns([1, 1]), (0, 0)),
+        lambda labels: score_corpus(labels, LABELED_TABLE, *columns([1, 1]), (0, 0), include_normal=True),
+    ],
+    ids=["build_count_table", "score_corpus", "score_corpus-every-line"],
+)
+def test_stages_reject_a_label_byte_other_than_0_and_1(stage):
+    # A byte of 2 is truthy: scoring would score its line as anomalous, and
+    # counting would count it as both anomalous and normal.
+    with pytest.raises(ValueError, match="other than 0 and 1"):
+        stage(b"\2\0")
+
+
 ALIGNED_TABLE = CountTable({1: (2, 1)}, {"x": (2, 1)}, {(): (2, 1)})
 MISALIGNED_STAGES = {
     "count-global": lambda c, m, s, g: build_count_table(c, m, s, g),
