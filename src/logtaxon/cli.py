@@ -216,7 +216,7 @@ def _analyze(args: argparse.Namespace) -> int:
     sweep = ThresholdSweep.parse(args.thresholds)
 
     print(f"reading {args.input} ...", file=sys.stderr)
-    corpus, summary = read_dataset(args.input, fmt, limit=args.limit)
+    corpus, summary = read_dataset(args.input, fmt, limit=args.limit, mask_rules=mask_rules)
     if summary.malformed_skipped:
         print(
             f"skipped {summary.malformed_skipped} malformed of {summary.lines_read} lines",
@@ -224,7 +224,7 @@ def _analyze(args: argparse.Namespace) -> int:
         )
     records = len(corpus)
     print(f"parsed {records} records; mining templates ...", file=sys.stderr)
-    # Only the iterator holds the records, so they go once they are tokenized.
+    # Only the iterator holds the read list, so it goes once tokenize_corpus takes its records.
     corpus = iter(corpus)
     analysis = analyze_corpus(
         corpus,

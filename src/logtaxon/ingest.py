@@ -15,9 +15,10 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 from .model import AnomalyKind, LogRecord
+from .templating import MaskRule, _tokenizer
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +91,7 @@ def read_dataset(
     path: str,
     format: DatasetFormat = PRESETS["generic"],
     limit: int | None = None,
+    mask_rules: Sequence[MaskRule] | None = None,
 ) -> tuple[list[LogRecord], IngestSummary]:
     """Parse a dataset file into a list of records, skipping (and counting) malformed lines.
 
@@ -103,10 +105,14 @@ def read_dataset(
     or corrupt. Lines with equal label and content are one record, made anew
     only where the content last appeared under the other label. Equal
     contents under either label share one string, whose hash the later
-    stages' lookups then find already computed.
+    stages' lookups then find already computed. Given `mask_rules`, each
+    distinct content is tokenized once, when its first record is made, so
+    every record holds its tokens and `tokenize_corpus` keeps it as it is;
+    without them, `tokens` stays None.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
+    tokens_of = (lambda content: None) if mask_rules is None else _tokenizer(mask_rules)
     records: list[LogRecord] = []
     by_content: dict[str, LogRecord] = {}  # the last record of each content
     last, append = by_content.get, records.append
@@ -123,8 +129,10 @@ def read_dataset(
                 content = parts[width] if len(parts) > width else ""
                 anomalous = parts[label_at] != normal
                 rec = last(content)
-                if rec is None or rec.anomalous is not anomalous:
-                    rec = by_content[content] = LogRecord(anomalous, rec.content if rec else content)
+                if rec is None:
+                    rec = by_content[content] = LogRecord(anomalous, content, tokens_of(content))
+                elif rec.anomalous is not anomalous:
+                    rec = by_content[content] = LogRecord(anomalous, rec.content, rec.tokens)
                 append(rec)
                 if limit is not None and len(records) >= limit:
                     break

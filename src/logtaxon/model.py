@@ -22,7 +22,8 @@ class LogRecord:
     """One log line: its expert label, True when anomalous, and its content. A
     corpus is a sequence of records, and a record's 1-based position in it is its index.
 
-    `tokens` is None until the templating stage builds a tokenized copy.
+    `tokens` is the content's masked token tuple, or None until a reader given
+    mask rules or `tokenize_corpus` fills it in.
     """
 
     anomalous: bool

@@ -39,12 +39,14 @@ def analyze_corpus(
     include_normal_scores: bool = False,
     source: Mapping[str, object] | None = None,
 ) -> Analysis:
-    """Run the full pipeline over a raw (untokenized) corpus, read once.
+    """Run the full pipeline over a corpus of records, read once.
 
     The corpus may be any iterable of records; records only an iterator holds
-    are freed once tokenized. The report's config block echoes the analysis
-    parameters so a run can be reproduced from its own output. Raises
-    ValueError("empty corpus") when the corpus holds no record.
+    are freed once tokenized. A record that already holds tokens keeps them,
+    so it must have been read under `miner_config.mask_rules`. The report's
+    config block echoes the analysis parameters so a run can be reproduced
+    from its own output. Raises ValueError("empty corpus") when the corpus
+    holds no record.
     """
     miner_config = miner_config or MinerConfig()
     bounds = bounds or ContextBounds()

@@ -154,30 +154,43 @@ def tokenize(content: str, rules: Sequence[MaskRule] = DEFAULT_MASK_RULES) -> To
     return tuple(map(_masker(rules), content.split()))
 
 
+def _tokenizer(rules: Sequence[MaskRule]) -> Callable[[str], TokenSequence]:
+    """A function from a content string to its masked token tuple, as `tokenize`
+    gives it, through one masker memo; equal sequences come back as one tuple."""
+    mask, sequences = _masker(rules), {}
+
+    def tokens_of(content: str) -> TokenSequence:
+        tokens = tuple(map(mask, content.split()))
+        return sequences.setdefault(tokens, tokens)
+
+    return tokens_of
+
+
 def tokenize_corpus(
     corpus: Iterable[LogRecord], rules: Sequence[MaskRule] = DEFAULT_MASK_RULES
 ) -> list[LogRecord]:
     """Return a copy of the corpus, read once, with every record's tokens filled in.
 
-    Raw tokens and whole contents repeat enormously across a log, so masking
-    is memoized per distinct token and tokenizing per distinct content, and
-    equal masked sequences share one tuple. Records with equal label and
-    content become one record, made anew only where the content last
-    appeared under the other label.
+    A record that already holds tokens, as `read_dataset` gives it when handed
+    mask rules, is kept as the same object, so it must have been tokenized
+    under `rules`. Raw tokens and whole contents repeat enormously across a
+    log, so masking is memoized per distinct token and tokenizing per
+    distinct content, and equal masked sequences share one tuple. Records
+    with equal label and content become one record, made anew only where the
+    content last appeared under the other label.
     """
-    mask = _masker(rules)
-    sequences: dict[TokenSequence, TokenSequence] = {}
+    tokens_of = _tokenizer(rules)
     by_content: dict[str, LogRecord] = {}  # the last record of each content
     records = []
     for r in corpus:
-        rec = by_content.get(r.content)
-        if rec is None:
-            tokens = tuple(map(mask, r.content.split()))
-            tokens = sequences.setdefault(tokens, tokens)
-            rec = by_content[r.content] = LogRecord(r.anomalous, r.content, tokens)
-        elif rec.anomalous is not r.anomalous:
-            rec = by_content[r.content] = LogRecord(r.anomalous, rec.content, rec.tokens)
-        records.append(rec)
+        if r.tokens is None:
+            rec = by_content.get(r.content)
+            if rec is None:
+                rec = by_content[r.content] = LogRecord(r.anomalous, r.content, tokens_of(r.content))
+            elif rec.anomalous is not r.anomalous:
+                rec = by_content[r.content] = LogRecord(r.anomalous, rec.content, rec.tokens)
+            r = rec
+        records.append(r)
     return records
 
 

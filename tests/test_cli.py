@@ -198,7 +198,7 @@ class WeakRecord(LogRecord):
 def test_read_records_are_freed_before_mining(tmp_path, demo_log, monkeypatch):
     refs = []
 
-    def read_weak_records(path, fmt, limit=None):
+    def read_weak_records(path, fmt, limit=None, mask_rules=None):
         corpus = tuple(WeakRecord(i % 10 == 0, f"job {i} done") for i in range(20_000))
         refs.extend(map(weakref.ref, corpus))
         return corpus, IngestSummary(len(corpus), 0)
@@ -513,6 +513,37 @@ def test_unparsable_mask_rules_name_the_file(tmp_path, demo_log, capsys):
     rc, _ = run_analyze(tmp_path, demo_log, "--mask-rules", str(rules))
     assert rc == 1
     assert f"error: mask rule file {str(rules)!r}: " in capsys.readouterr().err
+
+
+def test_the_reader_masks_with_the_rules_the_miner_is_given(tmp_path, demo_log, monkeypatch):
+    loaded, read_with, mined_with = [], [], []
+    load_mask_rules, read = cli.load_mask_rules, cli.read_dataset
+
+    def loading(path):
+        loaded.append(load_mask_rules(path))
+        return loaded[-1]
+
+    def reading(*args, mask_rules=None, **kwargs):
+        read_with.append(mask_rules)
+        return read(*args, mask_rules=mask_rules, **kwargs)
+
+    def analyzing(corpus, **kwargs):
+        mined_with.append(kwargs["miner_config"].mask_rules)
+        return analyze_corpus(corpus, **kwargs)
+
+    monkeypatch.setattr(cli, "load_mask_rules", loading)
+    monkeypatch.setattr(cli, "read_dataset", reading)
+    monkeypatch.setattr(cli, "analyze_corpus", analyzing)
+    rules = tmp_path / "rules.json"
+    rule = {"name": "HOST", "pattern": r"(?P<net>\d+\.\d+)\.\d+\.\d+", "replacement": r"\g<net>.<:HOST:>"}
+    rules.write_text(json.dumps([rule]))
+    rc, out_dir = run_analyze(tmp_path, demo_log, "--mask-rules", str(rules))
+    assert rc == 0
+    assert len(loaded) == 1 and read_with[0] is loaded[0] and mined_with[0] is loaded[0]
+    assert json.loads((out_dir / "report.json").read_text())["config"]["maskRules"] == ["HOST"]
+    rc, _ = run_analyze(tmp_path, demo_log)
+    assert rc == 0
+    assert read_with[1] is mined_with[1] is templating.DEFAULT_MASK_RULES
 
 
 def test_synth_truth_file(tmp_path):

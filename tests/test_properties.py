@@ -411,21 +411,26 @@ dataset_texts = st.tuples(
 ).map("".join)
 
 
+layouts = st.sampled_from([1, 2, 8]).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, w - 1)))
+normal_tokens = st.sampled_from(["-", "a"])
+limits = st.none() | st.integers(1, 6)
+
+
+def written(tmp, text):
+    path = os.path.join(tmp, "data.log")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+    return path
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    dataset_texts,
-    st.sampled_from([1, 2, 8]).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, w - 1))),
-    st.sampled_from(["-", "a"]),
-    st.none() | st.integers(1, 6),
-)
+@given(dataset_texts, layouts, normal_tokens, limits)
 def test_read_dataset_matches_the_reference_parser(text, layout, normal, limit):
     width, label_field = layout
     expected, lines_read, malformed = reference_parse(text, width, label_field, normal, limit)
     fmt = DatasetFormat(header_fields=width, label_field=label_field, normal_token=normal)
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "data.log")
-        with open(path, "wb") as fh:
-            fh.write(text.encode("utf-8"))
+        path = written(tmp, text)
         if not expected:
             with pytest.raises(ValueError, match="empty corpus"):
                 read_dataset(path, fmt, limit)
@@ -433,6 +438,42 @@ def test_read_dataset_matches_the_reference_parser(text, layout, normal, limit):
         corpus, summary = read_dataset(path, fmt, limit)
     assert [(rec.anomalous, rec.content) for rec in corpus] == expected
     assert (summary.lines_read, summary.malformed_skipped) == (lines_read, malformed)
+
+
+def outcome_of_reading(path, fmt, limit, **kwargs):
+    """`read_dataset`'s records and summary, or the error it raised."""
+    try:
+        return read_dataset(path, fmt, limit, **kwargs)
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dataset_texts,
+    layouts,
+    normal_tokens,
+    limits,
+    st.just(DEFAULT_MASK_RULES) | st.lists(mask_rules(), max_size=3).map(tuple),
+)
+def test_read_dataset_with_mask_rules_is_read_then_tokenize_corpus(text, layout, normal, limit, rules):
+    width, label_field = layout
+    fmt = DatasetFormat(header_fields=width, label_field=label_field, normal_token=normal)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = written(tmp, text)
+        raw, expected_summary = outcome_of_reading(path, fmt, limit)
+        corpus, summary = outcome_of_reading(path, fmt, limit, mask_rules=rules)
+    assert summary == expected_summary  # the same IngestSummary, or the same error
+    if raw is None:
+        assert corpus is None
+        return
+    expected = tokenize_corpus(raw, rules)
+    assert corpus == expected
+    for i, a in enumerate(corpus):  # records are shared exactly where tokenize_corpus shares them
+        assert [a is b for b in corpus[i:]] == [expected[i] is b for b in expected[i:]]
+    sequences = {}
+    for rec in corpus:
+        assert sequences.setdefault(rec.tokens, rec.tokens) is rec.tokens
 
 
 @settings(max_examples=25, deadline=None)

@@ -229,6 +229,25 @@ def test_equal_masked_sequences_share_one_tuple():
     assert tokens[3] == ("retry", "of", "<:NUM:>")
 
 
+def test_tokenize_corpus_keeps_records_that_already_hold_tokens():
+    # Held tokens are kept as they are, even where the rules would give others,
+    # and only the records without tokens are tokenized and shared.
+    held = LogRecord(True, "retry 17 of 255", ("as", "read"))
+    corpus = [
+        held,
+        LogRecord(False, "retry 3 of 9"),
+        held,
+        LogRecord(False, "retry 3 of 9"),
+        LogRecord(True, "retry 3 of 9"),
+    ]
+    tokenized = tokenize_corpus(corpus)
+    assert tokenized[0] is held and tokenized[2] is held
+    assert tokenized[1] is tokenized[3]
+    fresh = [LogRecord(a, "retry 3 of 9", tokenize("retry 3 of 9")) for a in (False, False, True)]
+    assert tokenized[1:] == [fresh[0], held, *fresh[1:]]
+    assert tokenized[4].tokens is tokenized[1].tokens
+
+
 def test_each_rule_masks_each_distinct_raw_token_once():
     calls = []
 
