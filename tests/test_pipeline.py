@@ -201,17 +201,13 @@ def output_of_a_fresh_interpreter(script, *args):
     return proc.stdout
 
 
-def traced_peaks_in_a_fresh_interpreter(*paths, path_name="library"):
-    output = output_of_a_fresh_interpreter(PEAKS_OF_ANALYSIS, path_name, *paths)
-    return [int(line) for line in output.split()]
-
-
 def traced_bytes_per_extra_line(write_lines, tmp_path, path_name="library"):
     """Traced peak bytes that each line from 20,000 to 40,000 adds, in a fresh interpreter."""
     small, large = tmp_path / "lines-20000.log", tmp_path / "lines-40000.log"
     write_lines(small, 20_000)
     write_lines(large, 40_000)
-    small_peak, large_peak = traced_peaks_in_a_fresh_interpreter(small, large, path_name=path_name)
+    output = output_of_a_fresh_interpreter(PEAKS_OF_ANALYSIS, path_name, small, large)
+    small_peak, large_peak = map(int, output.split())
     return (large_peak - small_peak) / 20_000
 
 
